@@ -90,10 +90,6 @@ def _load_parameters(path: "str | None") -> ModelParameters:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.engine.writer import HOST_CSV_HEADER, write_population_csv
 
-    problem = _check_fleet_ints(args, "generate")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     params = _load_parameters(args.params)
     generator = CorrelatedHostGenerator(params)
     when = year_fraction(parse_date(args.date))
@@ -106,14 +102,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_fleet_ints(
-    args: argparse.Namespace, command: str = "fleet"
-) -> "str | None":
+def _check_fleet_ints(args: argparse.Namespace, command: str) -> "str | None":
     """Clear error message for an out-of-range numeric option (else None).
 
-    The one validation path every command shares — the ``fleet``
-    sub-modes *and* the legacy ``trace``/``predict``/``validate``/
-    ``simulate``/``generate`` commands — so new flags cannot invent a
+    The one validation path every command shares — :func:`main` runs it
+    before dispatching any of them — so new flags cannot invent a
     divergent policy: positive integers (``--shards``, ``--chunk-size``,
     ``--lease-blocks``, ``--lease-depth``, ``--max-jobs``, ``--hosts``,
     ``--fault-after`` and friends), non-negative integers (``--size``,
@@ -166,28 +159,88 @@ def _check_fleet_ints(
     return None
 
 
+def _alias_fault_specs(args: argparse.Namespace) -> tuple:
+    """The fault specs the hidden ``--fault-after N`` and
+    ``--coordinator-fault-after N`` aliases stand for (the table in
+    README § Fault injection); a ``FaultPlanError`` when the export's
+    layout has no such site."""
+    from repro.faults import FaultPlanError, FaultSpec
+    from repro.faults.sites import (
+        KIND_RAISE,
+        KIND_SIGKILL,
+        SITE_BLOCK_DONE,
+        SITE_COORDINATOR_CHECKPOINT,
+        SITE_WORKER_BLOCK,
+    )
+
+    distributed = args.backend == "distributed"
+    specs = []
+    if args.fault_after is not None:
+        if distributed:
+            # Whichever worker first finishes its Nth block dies.
+            spec = FaultSpec(
+                SITE_WORKER_BLOCK, KIND_SIGKILL, after=args.fault_after, once=True
+            )
+        elif args.checkpoint_every or args.resume:
+            spec = FaultSpec(SITE_BLOCK_DONE, KIND_RAISE, after=args.fault_after)
+        else:
+            raise FaultPlanError(
+                "--fault-after applies to the block layout (--checkpoint-every "
+                "N or --resume) and to --backend distributed, not to the "
+                "per-shard layout"
+            )
+        specs.append(spec)
+    if args.coordinator_fault_after is not None:
+        if not distributed:
+            raise FaultPlanError(
+                "--coordinator-fault-after applies to --backend distributed only"
+            )
+        # The site fires before each lease line is appended, so dying on
+        # invocation N+1 leaves exactly N lines in the lease log.
+        specs.append(
+            FaultSpec(
+                SITE_COORDINATOR_CHECKPOINT,
+                KIND_SIGKILL,
+                after=args.coordinator_fault_after + 1,
+            )
+        )
+    return tuple(specs)
+
+
 def _arm_fault_spec(
     args: argparse.Namespace, command: str
 ) -> "str | None":
-    """Arm ``--fault-spec`` (a plan file or inline shorthand) for this
-    process and all its children; returns an error message (exit 2) for
-    a malformed plan, else None.
+    """Arm ``--fault-spec`` (a plan file or inline shorthand) plus the
+    specs of the ``--fault-after`` aliases for this process and all its
+    children; returns an error message (exit 2) for a malformed plan,
+    else None.
 
     The firing log and ``once`` markers land in ``OUT_DIR.faults`` —
     *beside* the export directory, never inside it, so injected faults
     cannot dirty the manifest layout they are attacking.
     """
-    spec_text = getattr(args, "fault_spec", None)
-    if not spec_text:
-        return None
-    from repro.faults import FaultPlanError, arm_process, plan_from_cli_arg
+    from dataclasses import replace
+
+    from repro.faults import FaultPlan, FaultPlanError, arm_process, plan_from_cli_arg
 
     try:
-        plan = plan_from_cli_arg(spec_text, seed=getattr(args, "seed", 0))
+        aliases = _alias_fault_specs(args)
     except FaultPlanError as error:
-        return f"{command}: --fault-spec {error}"
-    state_dir = os.path.abspath(args.out_dir) + ".faults"
-    arm_process(plan, state_dir=state_dir)
+        return f"{command}: {error}"
+    plan = None
+    if args.fault_spec:
+        try:
+            plan = plan_from_cli_arg(args.fault_spec, seed=args.seed)
+        except FaultPlanError as error:
+            return f"{command}: --fault-spec {error}"
+    if aliases:
+        plan = (
+            FaultPlan(seed=args.seed, faults=aliases)
+            if plan is None
+            else replace(plan, faults=plan.faults + aliases)
+        )
+    if plan is not None:
+        arm_process(plan, state_dir=os.path.abspath(args.out_dir) + ".faults")
     return None
 
 
@@ -246,16 +299,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     """``fleet`` / ``fleet summary``: one-pass reducer statistics."""
     from repro.engine import generate_sharded
 
-    problem = _check_fleet_ints(args)
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     if args.correlation and args.size < 2:
         sys.stderr.write("fleet: --correlation needs --size of at least 2\n")
         return 2
-    params = _load_parameters(args.params)
-    generator = CorrelatedHostGenerator(params)
-    when = year_fraction(parse_date(args.date))
+    try:
+        when = year_fraction(parse_date(args.date))
+    except ValueError as error:
+        sys.stderr.write(f"fleet: {error}\n")
+        return 2
+    generator = CorrelatedHostGenerator(_load_parameters(args.params))
     quantiles = getattr(args, "quantiles", False)
     if args.out:
         stats = _fleet_stats_writing_csv(generator, when, args)
@@ -296,53 +348,98 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_export(args: argparse.Namespace) -> int:
     """``fleet export``: sharded segment + manifest writer (resumable)."""
+    return _run_export(
+        args,
+        "fleet export",
+        CorrelatedHostGenerator(_load_parameters(args.params)),
+        args.seed,
+        fmt=args.format,
+        connect=args.connect or [],
+        token_file=args.token_file,
+        metrics=args.metrics,
+        lease_depth=args.lease_depth,
+    )
+
+
+def _run_export(
+    args: argparse.Namespace,
+    command: str,
+    generator,
+    seed: int,
+    reducers=None,
+    *,
+    label: str = "hosts",
+    fmt: str = "csv",
+    connect: "list[str] | tuple" = (),
+    token_file: "str | None" = None,
+    metrics: "str | None" = None,
+    lease_depth: int = 1,
+) -> int:
+    """The export dispatch behind ``fleet export`` and ``fleet scenario
+    run --out-dir``.
+
+    Validates the backend/layout flags, refuses a non-empty ``--out-dir``
+    without ``--force``, arms fault injection, then runs one of four
+    engine paths — distributed (fresh or resumed), local resume, the
+    resumable per-block layout or the per-shard layout — and prints the
+    summary.  The keyword arguments carry the flags only ``fleet export``
+    has; their defaults are what a command without them implies.
+    ``label`` names the exported rows in the summary.  Exit codes: 0 ok,
+    1 a runtime failure (one typed line, never a traceback), 2 a usage
+    error.
+    """
     from repro.engine import (
-        RetryError,
-        StateError,
+        describe_export_dir,
         export_fleet,
         export_fleet_blocks,
+        export_fleet_distributed,
         parse_endpoint,
+        resolve_fleet_token,
         resume_export,
+        resume_fleet_distributed,
     )
-    from repro.faults import FaultInjected
 
-    problem = _check_fleet_ints(args, "fleet export")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
-    connect_specs = args.connect or []
+    distributed = args.backend == "distributed"
     endpoints: "list[tuple[str, int]]" = []
-    if args.backend == "distributed":
+    token = None
+    problem = None
+    if distributed:
         if args.checkpoint_every:
             problem = (
                 "--checkpoint-every applies to the local backend only "
                 "(distributed runs checkpoint every completed lease)"
             )
-        elif args.format != "csv":
+        elif fmt != "csv":
             problem = "--backend distributed writes csv segments only"
-        elif args.workers == 0 and not connect_specs:
+        elif args.workers == 0 and not connect:
             problem = (
                 "distributed backend needs --workers >= 1 or at least one "
                 "--connect HOST:PORT"
             )
         else:
             try:
-                endpoints = [parse_endpoint(spec) for spec in connect_specs]
-            except ValueError as error:
+                endpoints = [parse_endpoint(spec) for spec in connect]
+                token = resolve_fleet_token(token_file)
+            except (OSError, ValueError) as error:
                 problem = str(error)
-    elif connect_specs:
+    elif connect:
         problem = "--connect requires --backend distributed"
-    elif args.token_file or args.metrics:
+    elif token_file or metrics:
         problem = "--token-file and --metrics require --backend distributed"
-    elif args.lease_depth != 1:
+    elif lease_depth != 1:
         problem = "--lease-depth requires --backend distributed"
-    if not problem and args.checkpoint_every and args.format == "npz-columnar":
+    if not problem and args.checkpoint_every and fmt == "npz-columnar":
         problem = (
             "npz-columnar writes whole columns and has no per-block segments "
             "to checkpoint; drop --checkpoint-every or use --format csv/npz"
         )
+    if not problem:
+        try:
+            when = year_fraction(parse_date(args.date))
+        except ValueError as error:
+            problem = str(error)
     if problem:
-        sys.stderr.write(f"fleet export: {problem}\n")
+        sys.stderr.write(f"{command}: {problem}\n")
         return 2
     if (
         not args.resume
@@ -350,99 +447,110 @@ def _cmd_fleet_export(args: argparse.Namespace) -> int:
         and os.listdir(args.out_dir)
         and not args.force
     ):
-        from repro.engine import describe_export_dir
-
         entries = sorted(os.listdir(args.out_dir))
         shown = ", ".join(entries[:4])
         if len(entries) > 4:
             shown += f", … {len(entries) - 4} more"
         hint = describe_export_dir(args.out_dir)
         sys.stderr.write(
-            f"fleet export: {args.out_dir} is not empty (contains {shown}); "
+            f"{command}: {args.out_dir} is not empty (contains {shown}); "
             "exporting would mix old and new segments (and `fleet verify` "
             "could pass against stale files) — "
             f"{hint or 'pass --force to export anyway'}\n"
         )
         return 2
-    problem = _arm_fault_spec(args, "fleet export")
+    problem = _arm_fault_spec(args, command)
     if problem:
         sys.stderr.write(problem + "\n")
         return 2
-    params = _load_parameters(args.params)
-    generator = CorrelatedHostGenerator(params)
-    if args.backend == "distributed":
-        from repro.engine import (
-            export_fleet_distributed,
-            resolve_fleet_token,
-            resume_fleet_distributed,
-        )
-
-        try:
-            token = resolve_fleet_token(args.token_file)
-        except (OSError, ValueError) as error:
-            sys.stderr.write(f"fleet export: {error}\n")
-            return 2
-        try:
+    # What to do after a failure, appended to its one-line report.
+    recovery = ""
+    result = None
+    try:
+        if distributed:
+            options = dict(
+                workers=args.workers,
+                connect=endpoints,
+                lease_depth=lease_depth,
+                token=token,
+                metrics_path=metrics,
+            )
             if args.resume:
                 # Size, date, seed, lease grid and reducers all come from
                 # the plan the interrupted run pinned into --out-dir.
                 result = resume_fleet_distributed(
-                    generator,
-                    args.out_dir,
-                    workers=args.workers,
-                    connect=endpoints,
-                    lease_depth=args.lease_depth,
-                    token=token,
-                    metrics_path=args.metrics,
-                    fault_after=args.fault_after,
-                    coordinator_fault_after=args.coordinator_fault_after,
+                    generator, args.out_dir, **options
                 )
             else:
-                when = year_fraction(parse_date(args.date))
                 result = export_fleet_distributed(
                     generator,
                     when,
                     args.size,
-                    args.seed,
+                    seed,
                     args.out_dir,
-                    workers=args.workers,
-                    connect=endpoints,
                     chunk_size=args.chunk_size,
                     lease_blocks=args.lease_blocks,
-                    lease_depth=args.lease_depth,
-                    fault_after=args.fault_after,
-                    token=token,
-                    metrics_path=args.metrics,
-                    coordinator_fault_after=args.coordinator_fault_after,
+                    reducers=reducers,
+                    **options,
                 )
-        except (RuntimeError, ValueError, OSError) as error:
-            # RuntimeError covers worker-fleet death (incl. ProtocolError
-            # and auth failures), ValueError a StateError from a corrupt
-            # or mismatched resume plan, OSError a dead --connect
-            # endpoint or a disk failure.
-            sys.stderr.write(f"fleet export: {error}\n")
-            return 1
+        elif args.resume:
+            result = resume_export(generator, args.out_dir, reducers=reducers)
+        elif args.checkpoint_every:
+            recovery = (
+                f" — the partial layout in {args.out_dir} resumes with --resume"
+            )
+            result = export_fleet_blocks(
+                generator,
+                when,
+                args.size,
+                seed,
+                args.out_dir,
+                shards=args.shards,
+                fmt=fmt,
+                checkpoint_every=args.checkpoint_every,
+                # For the block layout --chunk-size bounds the reducer fold
+                # batches (and is pinned into the plan as part of the
+                # determinism envelope).
+                chunk_size=args.chunk_size,
+                reducers=reducers,
+            )
+        else:
+            recovery = (
+                " — the per-shard layout keeps no checkpoints; re-run the export"
+            )
+            manifest = export_fleet(
+                generator,
+                when,
+                args.size,
+                seed,
+                args.out_dir,
+                shards=args.shards,
+                fmt=fmt,
+            )
+    except (RuntimeError, ValueError, OSError) as error:
+        # RuntimeError covers injected faults, retry exhaustion and
+        # worker-fleet death (incl. ProtocolError and auth failures),
+        # ValueError a StateError from a corrupt or mismatched resume
+        # plan, OSError a disk failure or a dead --connect endpoint.
+        resuming = " --resume" if args.resume else ""
+        sys.stderr.write(f"{command}{resuming}: {error}{recovery}\n")
+        return 1
+    if result is not None:
         manifest = result.manifest
-        drained = result.metrics.get("drained_workers", 0)
+    if distributed:
         print(
             f"distributed: {result.workers} worker(s), "
             f"{result.reassigned_leases} lease(s) reassigned, "
-            f"{drained} drained"
+            f"{result.metrics.get('drained_workers', 0)} drained"
         )
         if args.resume:
             print(
                 f"resumed: {result.resumed_leases} lease(s) restored from "
                 "checkpoints"
             )
-        if args.metrics:
-            print(f"metrics: {args.metrics}")
+        if metrics:
+            print(f"metrics: {metrics}")
     elif args.resume:
-        try:
-            result = resume_export(generator, args.out_dir)
-        except StateError as error:
-            sys.stderr.write(f"fleet export --resume: {error}\n")
-            return 1
-        manifest = result.manifest
         if result.statistics is None:
             print(f"{args.out_dir} is already finalised; nothing to resume")
         else:
@@ -451,54 +559,8 @@ def _cmd_fleet_export(args: argparse.Namespace) -> int:
                 f"resumed: {result.resumed_blocks} block(s) restored from "
                 f"checkpoints, {fresh} regenerated"
             )
-    elif args.checkpoint_every:
-        when = year_fraction(parse_date(args.date))
-        try:
-            result = export_fleet_blocks(
-                generator,
-                when,
-                args.size,
-                args.seed,
-                args.out_dir,
-                shards=args.shards,
-                fmt=args.format,
-                checkpoint_every=args.checkpoint_every,
-                # The parent `fleet` parser always defines --chunk-size; for
-                # the block layout it bounds the reducer fold batches (and is
-                # pinned into the plan as part of the determinism envelope).
-                chunk_size=args.chunk_size,
-                fault_after=args.fault_after,
-            )
-        except (FaultInjected, RetryError, OSError) as error:
-            # Injected or persistent I/O failure: a typed one-line exit,
-            # never a traceback.  (The legacy --fault-after RuntimeError
-            # keeps propagating — the interrupt smokes pin it.)
-            sys.stderr.write(
-                f"fleet export: {error} — the partial layout in "
-                f"{args.out_dir} resumes with --resume\n"
-            )
-            return 1
-        manifest = result.manifest
-    else:
-        when = year_fraction(parse_date(args.date))
-        try:
-            manifest = export_fleet(
-                generator,
-                when,
-                args.size,
-                args.seed,
-                args.out_dir,
-                shards=args.shards,
-                fmt=args.format,
-            )
-        except (FaultInjected, RetryError, OSError) as error:
-            sys.stderr.write(
-                f"fleet export: {error} — the per-shard layout keeps no "
-                "checkpoints; re-run the export\n"
-            )
-            return 1
     print(
-        f"exported {manifest.size} hosts @ {manifest.when:.3f} as "
+        f"exported {manifest.size} {label} @ {manifest.when:.3f} as "
         f"{len(manifest.segments)} {manifest.format} "
         f"{manifest.layout} segment(s) to {args.out_dir}"
     )
@@ -520,10 +582,6 @@ def _cmd_fleet_compact(args: argparse.Namespace) -> int:
     """``fleet compact``: merge block segments into the per-shard layout."""
     from repro.engine import compact_export
 
-    problem = _check_fleet_ints(args, "fleet compact")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     shards = getattr(args, "shards", 1)
     try:
         manifest = compact_export(args.manifest, args.out_dir, shards=shards)
@@ -569,10 +627,6 @@ def _cmd_fleet_validate(args: argparse.Namespace) -> int:
                 f"scenario={probe.scenario}{note}"
             )
         return 0
-    problem = _check_fleet_ints(args, "fleet validate")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     try:
         report = run_validation(
             args.tier,
@@ -613,10 +667,6 @@ def _cmd_fleet_serve_worker(args: argparse.Namespace) -> int:
 
     from repro.engine import resolve_fleet_token, serve_worker
 
-    problem = _check_fleet_ints(args, "fleet serve-worker")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     try:
         token = resolve_fleet_token(args.token_file)
     except (OSError, ValueError) as error:
@@ -681,10 +731,6 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
     """
     from repro.scenarios import ScenarioRun, get_scenario_spec
 
-    problem = _check_fleet_ints(args, "fleet scenario run")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     exporting = args.out_dir is not None
     if not exporting and (
         args.checkpoint_every
@@ -693,19 +739,10 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
         or args.fault_spec
         or args.backend != "local"
     ):
-        problem = (
-            "--backend, --checkpoint-every, --resume, --force and "
-            "--fault-spec shape exports; pass --out-dir"
+        sys.stderr.write(
+            "fleet scenario run: --backend, --checkpoint-every, --resume, "
+            "--force and --fault-spec shape exports; pass --out-dir\n"
         )
-    elif args.backend == "distributed" and args.checkpoint_every:
-        problem = (
-            "--checkpoint-every applies to the local backend only "
-            "(distributed runs checkpoint every completed lease)"
-        )
-    elif args.backend == "distributed" and args.workers == 0:
-        problem = "distributed backend needs --workers >= 1"
-    if problem:
-        sys.stderr.write(f"fleet scenario run: {problem}\n")
         return 2
     try:
         spec = get_scenario_spec(args.key)
@@ -737,159 +774,17 @@ def _cmd_fleet_scenario_run(args: argparse.Namespace) -> int:
         print(f"statistics sha256: {run.statistics_digest()}")
         return 0
 
-    try:
-        when = year_fraction(parse_date(args.date))
-    except ValueError as error:
-        sys.stderr.write(f"fleet scenario run: {error}\n")
-        return 2
     if args.size < 1:
         sys.stderr.write("fleet scenario run: size must be at least 1\n")
         return 2
-    if (
-        not args.resume
-        and os.path.isdir(args.out_dir)
-        and os.listdir(args.out_dir)
-        and not args.force
-    ):
-        from repro.engine import describe_export_dir
-
-        entries = sorted(os.listdir(args.out_dir))
-        shown = ", ".join(entries[:4])
-        if len(entries) > 4:
-            shown += f", … {len(entries) - 4} more"
-        hint = describe_export_dir(args.out_dir)
-        sys.stderr.write(
-            f"fleet scenario run: {args.out_dir} is not empty (contains "
-            f"{shown}); exporting would mix old and new segments (and "
-            "`fleet verify` could pass against stale files) — "
-            f"{hint or 'pass --force to export anyway'}\n"
-        )
-        return 2
-    problem = _arm_fault_spec(args, "fleet scenario run")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
-    generator = spec.make_generator()
-    seed = args.seed + spec.seed_offset
-    fault_after = getattr(args, "fault_after", None)
-    if args.backend == "distributed":
-        from repro.engine import (
-            export_fleet_distributed,
-            resume_fleet_distributed,
-        )
-
-        try:
-            if args.resume:
-                # Size, date, seed, lease grid and reducers all come from
-                # the plan the interrupted run pinned into --out-dir.
-                result = resume_fleet_distributed(
-                    generator,
-                    args.out_dir,
-                    workers=args.workers,
-                    fault_after=fault_after,
-                    coordinator_fault_after=args.coordinator_fault_after,
-                )
-            else:
-                result = export_fleet_distributed(
-                    generator,
-                    when,
-                    args.size,
-                    seed,
-                    args.out_dir,
-                    workers=args.workers,
-                    chunk_size=args.chunk_size,
-                    lease_blocks=args.lease_blocks,
-                    reducers=spec.profile(),
-                    fault_after=fault_after,
-                    coordinator_fault_after=args.coordinator_fault_after,
-                )
-        except (RuntimeError, ValueError, OSError) as error:
-            sys.stderr.write(f"fleet scenario run: {error}\n")
-            return 1
-        manifest = result.manifest
-        print(
-            f"distributed: {result.workers} worker(s), "
-            f"{result.reassigned_leases} lease(s) reassigned"
-        )
-        if args.resume:
-            print(
-                f"resumed: {result.resumed_leases} lease(s) restored from "
-                "checkpoints"
-            )
-    elif args.resume:
-        from repro.engine import StateError, resume_export
-
-        try:
-            result = resume_export(
-                generator,
-                args.out_dir,
-                reducers=spec.profile(),
-                fault_after=fault_after,
-            )
-        except StateError as error:
-            sys.stderr.write(f"fleet scenario run --resume: {error}\n")
-            return 1
-        manifest = result.manifest
-        if result.statistics is None:
-            print(f"{args.out_dir} is already finalised; nothing to resume")
-        else:
-            fresh = len(manifest.segments) - result.resumed_blocks
-            print(
-                f"resumed: {result.resumed_blocks} block(s) restored from "
-                f"checkpoints, {fresh} regenerated"
-            )
-    elif args.checkpoint_every:
-        from repro.engine import RetryError, export_fleet_blocks
-        from repro.faults import FaultInjected
-
-        try:
-            result = export_fleet_blocks(
-                generator,
-                when,
-                args.size,
-                seed,
-                args.out_dir,
-                shards=args.shards,
-                checkpoint_every=args.checkpoint_every,
-                chunk_size=args.chunk_size,
-                reducers=spec.profile(),
-                fault_after=fault_after,
-            )
-        except (FaultInjected, RetryError, OSError) as error:
-            sys.stderr.write(
-                f"fleet scenario run: {error} — the partial layout in "
-                f"{args.out_dir} resumes with --resume\n"
-            )
-            return 1
-        manifest = result.manifest
-    else:
-        from repro.engine import RetryError, export_fleet
-        from repro.faults import FaultInjected
-
-        try:
-            manifest = export_fleet(
-                generator,
-                when,
-                args.size,
-                seed,
-                args.out_dir,
-                shards=args.shards,
-            )
-        except (FaultInjected, RetryError, OSError) as error:
-            sys.stderr.write(
-                f"fleet scenario run: {error} — the per-shard layout keeps "
-                "no checkpoints; re-run the export\n"
-            )
-            return 1
-    print(
-        f"exported {manifest.size} rows of scenario '{spec.key}' @ "
-        f"{manifest.when:.3f} as {len(manifest.segments)} {manifest.format} "
-        f"{manifest.layout} segment(s) to {args.out_dir}"
+    return _run_export(
+        args,
+        "fleet scenario run",
+        spec.make_generator(),
+        args.seed + spec.seed_offset,
+        spec.profile(),
+        label=f"rows of scenario '{spec.key}'",
     )
-    print(f"payload sha256: {manifest.payload_sha256}")
-    print(f"fleet sha256:   {manifest.fleet_sha256}")
-    print(f"manifest: {args.out_dir}/manifest.json")
-    return 0
 
 
 def _cmd_fleet_scenario_compare(args: argparse.Namespace) -> int:
@@ -902,10 +797,6 @@ def _cmd_fleet_scenario_compare(args: argparse.Namespace) -> int:
     """
     from repro.scenarios import ScenarioRun
 
-    problem = _check_fleet_ints(args, "fleet scenario compare")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     shard_counts: "list[int]" = []
     for value in args.compare_shards:
         if value <= 0:
@@ -965,10 +856,6 @@ def _cmd_fleet_chaos(args: argparse.Namespace) -> int:
     """
     from repro.faults import ChaosError, FaultPlanError, plan_from_cli_arg, run_chaos
 
-    problem = _check_fleet_ints(args, "fleet chaos")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     try:
         plan = plan_from_cli_arg(args.plan, seed=args.seed)
     except FaultPlanError as error:
@@ -1079,10 +966,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.traces.io import write_trace_csv
     from repro.traces.synthesis import generate_trace
 
-    problem = _check_fleet_ints(args, "trace")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     config = TraceConfig(scale=args.scale, seed=args.seed)
     trace = generate_trace(config)
     write_trace_csv(trace, args.out)
@@ -1111,10 +994,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    problem = _check_fleet_ints(args, "predict")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     params = _load_parameters(args.params)
     scalars = predict_scalars(params, float(args.year))
     print(f"Predictions for {args.year}:")
@@ -1149,10 +1028,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.fitting.pipeline import fit_model_from_trace
     from repro.traces.io import read_trace_csv
 
-    problem = _check_fleet_ints(args, "validate")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     trace = read_trace_csv(args.trace)
     report = fit_model_from_trace(trace)
     generator = CorrelatedHostGenerator(report.parameters)
@@ -1187,10 +1062,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.fitting.pipeline import fit_model_from_trace
     from repro.traces.io import read_trace_csv
 
-    problem = _check_fleet_ints(args, "simulate")
-    if problem:
-        sys.stderr.write(problem + "\n")
-        return 2
     trace = read_trace_csv(args.trace)
     fitted = fit_model_from_trace(trace).parameters
     models = [
@@ -1290,6 +1161,70 @@ def build_parser() -> argparse.ArgumentParser:
             "(one ordered pass; --shards does not apply)",
         )
 
+    def _add_export_flags(parser: argparse.ArgumentParser) -> None:
+        # The layout/backend flags of both export commands; they all
+        # meet in _run_export.
+        parser.add_argument(
+            "--checkpoint-every",
+            type=int,
+            default=0,
+            metavar="N",
+            help="write resumable per-block segments with a reducer-state "
+            "checkpoint every N blocks (0 = classic per-shard layout)",
+        )
+        parser.add_argument(
+            "--resume",
+            action="store_true",
+            help="finish an interrupted resumable export in --out-dir "
+            "(size/date/seed are read from its partial manifest)",
+        )
+        parser.add_argument(
+            "--backend",
+            choices=["local", "distributed"],
+            default="local",
+            help="execution backend: a local process pool, or the "
+            "coordinator/worker distributed export",
+        )
+        parser.add_argument(
+            "--workers",
+            type=int,
+            default=2,
+            help="local worker processes to spawn (--backend distributed)",
+        )
+        parser.add_argument(
+            "--lease-blocks",
+            type=int,
+            default=4,
+            help="RNG blocks per distributed work lease (smaller rebalances "
+            "stragglers faster)",
+        )
+        parser.add_argument(
+            "--force",
+            action="store_true",
+            help="export into a non-empty directory (stale segments from a "
+            "previous run could otherwise mix with the new export)",
+        )
+        parser.add_argument(
+            "--fault-spec",
+            default=None,
+            metavar="PLAN",
+            help="deterministic fault injection: a FaultPlan JSON file, or "
+            "inline 'SITE[:key=val,...]' specs joined by ';' (e.g. "
+            "writer.block.write:kind=torn-write,after=3); firings are logged "
+            "to OUT_DIR.faults/ — see README § Fault injection",
+        )
+        # Hidden aliases of --fault-spec plans (see _alias_fault_specs):
+        # crash after N blocks, or SIGKILL the coordinator after N leases.
+        parser.add_argument(
+            "--fault-after", type=int, default=None, help=argparse.SUPPRESS
+        )
+        parser.add_argument(
+            "--coordinator-fault-after",
+            type=int,
+            default=None,
+            help=argparse.SUPPRESS,
+        )
+
     p_fleet = sub.add_parser(
         "fleet", help="stream/shard a large fleet through the engine's reducers"
     )
@@ -1323,46 +1258,13 @@ def build_parser() -> argparse.ArgumentParser:
         "npz-columnar writes one contiguous binary array per resource "
         "column — the fast path for large fleets)",
     )
-    p_fleet_export.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="write resumable per-block segments with a reducer-state "
-        "checkpoint every N blocks (0 = classic per-shard layout)",
-    )
-    p_fleet_export.add_argument(
-        "--resume",
-        action="store_true",
-        help="finish an interrupted resumable export in --out-dir "
-        "(size/date/seed are read from its partial manifest)",
-    )
-    p_fleet_export.add_argument(
-        "--backend",
-        choices=["local", "distributed"],
-        default="local",
-        help="execution backend: a local process pool, or the "
-        "coordinator/worker distributed export",
-    )
-    p_fleet_export.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="local worker processes to spawn (--backend distributed)",
-    )
+    _add_export_flags(p_fleet_export)
     p_fleet_export.add_argument(
         "--connect",
         action="append",
         metavar="HOST:PORT",
         help="attach a running `fleet serve-worker` endpoint "
         "(repeatable; --backend distributed)",
-    )
-    p_fleet_export.add_argument(
-        "--lease-blocks",
-        type=int,
-        default=4,
-        help="RNG blocks per distributed work lease (smaller rebalances "
-        "stragglers faster)",
     )
     p_fleet_export.add_argument(
         "--lease-depth",
@@ -1384,34 +1286,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the distributed run's JSON metrics document here "
         "(per-lease timings, heartbeat gaps, requeue/steal counts)",
-    )
-    p_fleet_export.add_argument(
-        "--force",
-        action="store_true",
-        help="export into a non-empty directory (stale segments from a "
-        "previous run could otherwise mix with the new export)",
-    )
-    p_fleet_export.add_argument(
-        "--fault-spec",
-        default=None,
-        metavar="PLAN",
-        help="deterministic fault injection: a FaultPlan JSON file, or "
-        "inline 'SITE[:key=val,...]' specs joined by ';' (e.g. "
-        "writer.block.write:kind=torn-write,after=3); firings are logged "
-        "to OUT_DIR.faults/ — see README § Fault injection",
-    )
-    # Deprecated aliases of --fault-spec, kept for the existing tests and
-    # CI smokes: deterministic crash injection counting blocks per worker
-    # (the first local worker SIGKILLs itself under the distributed
-    # backend) and, for the coordinator, lease checkpoints.
-    p_fleet_export.add_argument(
-        "--fault-after", type=int, default=None, help=argparse.SUPPRESS
-    )
-    p_fleet_export.add_argument(
-        "--coordinator-fault-after",
-        type=int,
-        default=None,
-        help=argparse.SUPPRESS,
     )
 
     p_fleet_compact = fleet_sub.add_parser(
@@ -1605,62 +1479,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export segments + manifest.json here instead of printing "
         "summary statistics",
     )
-    p_sc_run.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="N",
-        help="resumable per-block export with a reducer checkpoint every "
-        "N blocks (0 = per-shard layout; needs --out-dir)",
-    )
-    p_sc_run.add_argument(
-        "--resume",
-        action="store_true",
-        help="finish an interrupted resumable export in --out-dir",
-    )
-    p_sc_run.add_argument(
-        "--backend",
-        choices=["local", "distributed"],
-        default="local",
-        help="export backend: a local process pool, or the "
-        "coordinator/worker engine (needs --out-dir)",
-    )
-    p_sc_run.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="local worker processes to spawn (--backend distributed)",
-    )
-    p_sc_run.add_argument(
-        "--lease-blocks",
-        type=int,
-        default=4,
-        help="RNG blocks per distributed work lease",
-    )
-    p_sc_run.add_argument(
-        "--force",
-        action="store_true",
-        help="export into a non-empty directory",
-    )
-    p_sc_run.add_argument(
-        "--fault-spec",
-        default=None,
-        metavar="PLAN",
-        help="deterministic fault injection (a FaultPlan JSON file or "
-        "inline 'SITE[:key=val,...]' shorthand; needs --out-dir) — see "
-        "README § Fault injection",
-    )
-    # Deprecated aliases of --fault-spec (the export smokes' crash
-    # injection).
-    p_sc_run.add_argument(
-        "--fault-after", type=int, default=None, help=argparse.SUPPRESS
-    )
-    p_sc_run.add_argument(
-        "--coordinator-fault-after",
-        type=int,
-        default=None,
-        help=argparse.SUPPRESS,
-    )
+    _add_export_flags(p_sc_run)
 
     p_sc_compare = scenario_sub.add_parser(
         "compare",
@@ -1794,14 +1613,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_label(args: argparse.Namespace) -> str:
+    """The invoked command as its messages name it (``fleet export``)."""
+    words = (
+        args.command,
+        getattr(args, "fleet_command", None),
+        getattr(args, "scenario_command", None),
+    )
+    return " ".join(word for word in words if word and word != "summary")
+
+
 def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _check_fleet_ints(args, _command_label(args))
+    if problem:
+        sys.stderr.write(problem + "\n")
+        return 2
     try:
         return args.func(args)
     finally:
-        if getattr(args, "fault_spec", None):
+        if any(
+            getattr(args, name, None) is not None
+            for name in ("fault_spec", "fault_after", "coordinator_fault_after")
+        ):
             # In-process callers (tests) must not inherit an armed plan
             # from a previous invocation's environment exports.
             from repro.faults import deactivate

@@ -116,7 +116,6 @@ import hashlib
 import hmac
 import json
 import os
-import signal
 import socket
 import struct
 import threading
@@ -635,14 +634,12 @@ def _worker_loop(
     sock.settimeout(worker_timeout)
     seeds = block_seeds(root, size)
     out_dir = job.get("out_dir")
-    fault_after = job.get("fault_after")
 
     stop = threading.Event()
     heartbeat = threading.Thread(
         target=_heartbeat_loop, args=(send, stop, HEARTBEAT_INTERVAL), daemon=True
     )
     heartbeat.start()
-    written = 0
     leases_done = 0
     credits = 0
     assigned: "deque[tuple[int, int]]" = deque()
@@ -706,12 +703,7 @@ def _worker_loop(
                     entry["data"] = base64.b64encode(data).decode("ascii")
                 blocks.append(entry)
                 fold.add(block)
-                written += 1
                 _fire(SITE_WORKER_BLOCK)
-                if fault_after is not None and written >= int(fault_after):
-                    # Crash injection for the tests/CI: die the hard way,
-                    # exactly like an OOM-killed or power-cycled worker.
-                    os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
             fold.flush()
             send(
                 {
@@ -746,9 +738,16 @@ def _dial(host: str, port: int, site: str, timeout: "float | None" = None):
     )
 
 
-def _local_worker_main(host: str, port: int, token: "str | None" = None) -> None:
+def _local_worker_main(
+    host: str, port: int, token: "str | None" = None, listener=None
+) -> None:
     """Entry point of a spawned local worker process (module-level so it
     pickles under every multiprocessing start method).
+
+    ``listener`` is the coordinator's listening socket as a fork child
+    inherits it.  It is closed first: a worker orphaned by a dead
+    coordinator must have its reconnects refused, not queued in a
+    listener the worker itself keeps open.
 
     The dial retries under :data:`DIAL_RETRY` — a worker that comes up
     before its coordinator listens must not die on the first
@@ -757,6 +756,8 @@ def _local_worker_main(host: str, port: int, token: "str | None" = None) -> None
     dials under :data:`RECONNECT_RETRY`); the determinism contract makes
     the replayed leases byte-identical, so rejoining is always safe.
     """
+    if listener is not None:
+        listener.close()
     attempts = 1 + WORKER_RECONNECT_ATTEMPTS
     for attempt in range(attempts):
         try:
@@ -987,10 +988,8 @@ class _Coordinator:
         factories: dict,
         size: int,
         worker_timeout: float,
-        fault_after: "int | None" = None,
         token: "str | None" = None,
         lease_depth: int = DEFAULT_LEASE_DEPTH,
-        coordinator_fault_after: "int | None" = None,
         checkpoint_log=None,
         completed: "dict | None" = None,
     ):
@@ -1000,11 +999,8 @@ class _Coordinator:
         self.factories = factories
         self.size = size
         self.worker_timeout = worker_timeout
-        self.fault_after = fault_after
-        self.fault_assigned = False
         self.token = token
         self.lease_depth = lease_depth
-        self.coordinator_fault_after = coordinator_fault_after
         self.checkpoint_log = checkpoint_log
         self.events: Queue = Queue()
         self.remotes: "list[_Remote]" = []
@@ -1015,7 +1011,6 @@ class _Coordinator:
         self.requeued = 0
         self.stolen = 0
         self.drained = 0
-        self.checkpointed = 0
         self.workers_seen = 0
         self.last_progress = time.monotonic()
         self.last_error: "BaseException | None" = None
@@ -1084,6 +1079,13 @@ class _Coordinator:
         remote.alive = False
         remote.idle = False
         remote.credits = 0
+        try:
+            # Shut down first: this remote's reader thread is still blocked
+            # in recv on the socket, and a bare close() then sends no FIN,
+            # leaving a refused or dropped peer waiting out its timeout.
+            remote.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             remote.sock.close()
         except OSError:
@@ -1214,9 +1216,6 @@ class _Coordinator:
             self._worker_entry(remote)
             job = dict(self.job)
             job["out_dir"] = self.out_dir if remote.local else None
-            if self.fault_after is not None and remote.local and not self.fault_assigned:
-                job["fault_after"] = self.fault_after
-                self.fault_assigned = True
             self._send(remote, job)
         elif kind == "ready":
             if remote.state != "active":
@@ -1294,15 +1293,6 @@ class _Coordinator:
         _fire(SITE_COORDINATOR_CHECKPOINT, path=self.checkpoint_log.name)
         self.checkpoint_log.write(_checkpoint_line(lease, entry))
         self.checkpoint_log.flush()
-        self.checkpointed += 1
-        if (
-            self.coordinator_fault_after is not None
-            and self.checkpointed >= self.coordinator_fault_after
-        ):
-            # Crash injection for the resume tests/CI: kill the
-            # *coordinator* the hard way with the checkpoint durable.
-            os.fsync(self.checkpoint_log.fileno())
-            os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
 
     def _validate_result(
         self, remote: _Remote, lease: "tuple[int, int]", message: dict
@@ -1540,11 +1530,9 @@ def export_fleet_distributed(
     worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
     manifest_name: str = "manifest.json",
     start_method: "str | None" = None,
-    fault_after: "int | None" = None,
     lease_depth: int = DEFAULT_LEASE_DEPTH,
     token: "str | None" = None,
     metrics_path: "str | None" = None,
-    coordinator_fault_after: "int | None" = None,
 ) -> DistributedExportResult:
     """Export a fleet through coordinator-scheduled distributed workers.
 
@@ -1562,12 +1550,8 @@ def export_fleet_distributed(
     run's ``FleetDistributedMetrics`` JSON.  The run checkpoints every
     completed lease (see :func:`resume_fleet_distributed`).  ``reducers``
     accepts the :data:`WIRE_REDUCER_FACTORIES` subset by name (factories
-    cannot travel a JSON wire); ``fault_after`` makes the first local
-    worker SIGKILL itself after that many blocks and
-    ``coordinator_fault_after`` SIGKILLs the coordinator itself after
-    that many lease checkpoints (crash injection for tests/CI).  Raises
-    :class:`RuntimeError` when every worker has died with leases
-    outstanding.
+    cannot travel a JSON wire).  Raises :class:`RuntimeError` when every
+    worker has died with leases outstanding.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
@@ -1584,8 +1568,6 @@ def export_fleet_distributed(
         raise ValueError("need at least one worker (workers >= 1 or connect=...)")
     if worker_timeout <= 0:
         raise ValueError("worker_timeout must be positive")
-    if coordinator_fault_after is not None and coordinator_fault_after < 1:
-        raise ValueError("coordinator_fault_after must be at least 1")
     to_json = getattr(getattr(generator, "parameters", None), "to_json", None)
     if to_json is None:
         raise ValueError(
@@ -1637,8 +1619,6 @@ def export_fleet_distributed(
         lease_depth=lease_depth,
         manifest_name=manifest_name,
         start_method=start_method,
-        fault_after=fault_after,
-        coordinator_fault_after=coordinator_fault_after,
         token=token,
         metrics_path=metrics_path,
     )
@@ -1651,11 +1631,9 @@ def resume_fleet_distributed(
     connect: "list[tuple[str, int]] | tuple" = (),
     worker_timeout: float = DEFAULT_WORKER_TIMEOUT,
     start_method: "str | None" = None,
-    fault_after: "int | None" = None,
     lease_depth: int = DEFAULT_LEASE_DEPTH,
     token: "str | None" = None,
     metrics_path: "str | None" = None,
-    coordinator_fault_after: "int | None" = None,
 ) -> DistributedExportResult:
     """Finish an interrupted distributed export byte-identically.
 
@@ -1777,8 +1755,6 @@ def resume_fleet_distributed(
         lease_depth=lease_depth,
         manifest_name=manifest_name,
         start_method=start_method,
-        fault_after=fault_after,
-        coordinator_fault_after=coordinator_fault_after,
         token=token,
         metrics_path=metrics_path,
     )
@@ -1803,8 +1779,6 @@ def _run_distributed(
     lease_depth: int,
     manifest_name: str,
     start_method: "str | None",
-    fault_after: "int | None",
-    coordinator_fault_after: "int | None",
     token: "str | None",
     metrics_path: "str | None",
 ) -> DistributedExportResult:
@@ -1846,10 +1820,8 @@ def _run_distributed(
         factories,
         size,
         worker_timeout,
-        fault_after,
         token=token,
         lease_depth=lease_depth,
-        coordinator_fault_after=coordinator_fault_after,
         checkpoint_log=checkpoint_log,
         completed=completed,
     )
@@ -1871,12 +1843,7 @@ def _run_distributed(
                 # of this coordinator — keeps raw processes, because a
                 # process that SIGKILLs itself (or loses its parent to
                 # SIGKILL) would poison a pool that outlives this call.
-                if (
-                    fault_after is None
-                    and coordinator_fault_after is None
-                    and not plan_is_active()
-                    and persistence_enabled()
-                ):
+                if not plan_is_active() and persistence_enabled():
                     pool = get_pool(workers, start_method)
                     for _ in range(workers):
                         coordinator.processes.append(
@@ -1889,10 +1856,13 @@ def _run_distributed(
                         )
                 else:
                     context = _pool_context(start_method)
+                    inherited = (
+                        listener if context.get_start_method() == "fork" else None
+                    )
                     for _ in range(workers):
                         process = context.Process(
                             target=_local_worker_main,
-                            args=("127.0.0.1", port, token),
+                            args=("127.0.0.1", port, token, inherited),
                             daemon=True,
                         )
                         process.start()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,28 @@ def paper_params() -> ModelParameters:
 def paper_generator(paper_params: ModelParameters) -> CorrelatedHostGenerator:
     """A generator configured with the published parameters."""
     return CorrelatedHostGenerator(paper_params)
+
+
+@pytest.fixture
+def fault_plan(tmp_path):
+    """``with fault_plan("SITE:key=value,...", ...):`` arms those inline
+    fault specs for the block, child processes included; the firing log
+    and ``once`` markers land in ``tmp_path/faults``."""
+    from repro.faults import arm_process, deactivate, plan_from_cli_arg
+
+    @contextlib.contextmanager
+    def armed(*specs: str):
+        arm_process(
+            plan_from_cli_arg(";".join(specs)),
+            state_dir=str(tmp_path / "faults"),
+        )
+        try:
+            yield
+        finally:
+            deactivate()
+
+    yield armed
+    deactivate()
 
 
 @pytest.fixture(scope="session")

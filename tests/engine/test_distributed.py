@@ -59,6 +59,8 @@ from repro.engine.distributed import (
 SEPT_2010 = 2010.667
 SEED = 20110611
 SIZE = 20_000  # five RNG blocks
+#: One worker (whichever first finishes a block) SIGKILLs itself.
+WORKER_SIGKILL = "distributed.worker.block:kind=sigkill,after=1,once=true"
 
 
 @pytest.fixture(scope="module")
@@ -227,15 +229,16 @@ class TestDistributedByteIdentity:
 
 class TestWorkerFailure:
     def test_sigkilled_worker_blocks_are_reassigned(
-        self, tmp_path, paper_generator, golden
+        self, tmp_path, fault_plan, paper_generator, golden
     ):
         """One worker SIGKILLs itself mid-run; the export must not change."""
         golden_dir, golden_result = golden
         out = tmp_path / "killed"
-        result = export_fleet_distributed(
-            paper_generator, SEPT_2010, SIZE, SEED, str(out),
-            workers=2, lease_blocks=1, quantiles=True, fault_after=1,
-        )
+        with fault_plan(WORKER_SIGKILL):
+            result = export_fleet_distributed(
+                paper_generator, SEPT_2010, SIZE, SEED, str(out),
+                workers=2, lease_blocks=1, quantiles=True,
+            )
         assert result.reassigned_leases >= 1
         assert result.manifest.to_json() == golden_result.manifest.to_json()
         assert _payload_bytes(out, result.manifest) == _payload_bytes(
@@ -243,11 +246,16 @@ class TestWorkerFailure:
         )
         assert verify_manifest(str(out / "manifest.json")).ok
 
-    def test_lone_worker_death_fails_loudly(self, tmp_path, paper_generator):
-        with pytest.raises(RuntimeError, match="workers died"):
+    def test_lone_worker_death_fails_loudly(
+        self, tmp_path, fault_plan, paper_generator
+    ):
+        with (
+            fault_plan(WORKER_SIGKILL),
+            pytest.raises(RuntimeError, match="workers died"),
+        ):
             export_fleet_distributed(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                workers=1, lease_blocks=1, fault_after=1,
+                workers=1, lease_blocks=1,
             )
         assert not (tmp_path / "manifest.json").exists()
 
@@ -472,8 +480,7 @@ def _make_coordinator(leases, size=16_384, lease_depth=1):
 
     return _Coordinator(
         job={"type": "job"}, leases=leases, out_dir=".",
-        factories={}, size=size, worker_timeout=60.0, fault_after=None,
-        lease_depth=lease_depth,
+        factories={}, size=size, worker_timeout=60.0, lease_depth=lease_depth,
     )
 
 
@@ -650,7 +657,6 @@ class TestArgumentValidation:
             {"chunk_size": 0},
             {"workers": -1},
             {"worker_timeout": 0.0},
-            {"coordinator_fault_after": 0},
         ],
     )
     def test_rejects_bad_numbers(self, tmp_path, paper_generator, kwargs):
@@ -729,9 +735,10 @@ class TestCliSubprocessCrashInjection:
              "--coordinator-fault-after", "2"],
             env=env, capture_output=True, timeout=300,
         )
-        assert crashed.returncode != 0
+        assert crashed.returncode == -signal.SIGKILL
         assert (dist / DISTRIBUTED_PLAN_NAME).exists()
-        assert (dist / DISTRIBUTED_LEASE_LOG).exists()
+        # The alias kills the coordinator with exactly N lease lines logged.
+        assert len((dist / DISTRIBUTED_LEASE_LOG).read_text().splitlines()) == 2
         resumed = subprocess.run(
             [sys.executable, "-m", "repro", "fleet", "export",
              "--size", str(SIZE), "--seed", str(SEED),
@@ -1138,12 +1145,16 @@ def _coordinator_crash_main(out_dir):
     SIGKILLs its own process after the second lease checkpoint."""
     from repro.core.generator import CorrelatedHostGenerator
     from repro.core.parameters import ModelParameters
+    from repro.faults import arm_process, plan_from_cli_arg
 
+    arm_process(
+        plan_from_cli_arg("distributed.coordinator.checkpoint:kind=sigkill,after=3"),
+        state_dir=out_dir + ".faults",
+    )
     export_fleet_distributed(
         CorrelatedHostGenerator(ModelParameters.paper_reference()),
         SEPT_2010, SIZE, SEED, out_dir,
         workers=2, lease_blocks=1, quantiles=True,
-        coordinator_fault_after=2,
     )
 
 

@@ -3,8 +3,8 @@
 The contract under test: an export interrupted after *k* blocks and then
 resumed produces a manifest, a CSV payload concatenation and reduced
 statistics **identical** to an uninterrupted run of the same parameters.
-Interruption is injected three ways — the writer's own deterministic
-fault hook, a monkeypatched block writer that dies mid-file (leaving a
+Interruption is injected three ways — a ``writer.block.done`` fault
+plan, a monkeypatched block writer that dies mid-file (leaving a
 truncated segment behind), and a real ``SIGKILL`` of a CLI subprocess.
 """
 
@@ -36,6 +36,11 @@ SEPT_2010 = 2010.667
 SEED = 20110611
 SIZE = 20_000  # five RNG blocks
 CHECKPOINT_EVERY = 2
+
+
+def crash_after(blocks: int) -> str:
+    """The fault spec that stops a block export after ``blocks`` blocks."""
+    return f"writer.block.done:kind=raise,after={blocks}"
 
 
 def _payload_bytes(out_dir, manifest) -> bytes:
@@ -84,14 +89,17 @@ def golden(tmp_path_factory, paper_generator):
 
 
 class TestInjectedFault:
-    @pytest.mark.parametrize("fault_after", [1, 3, 4])
+    @pytest.mark.parametrize("blocks", [1, 3, 4])
     def test_interrupt_then_resume_equals_uninterrupted(
-        self, fault_after, tmp_path, paper_generator, golden
+        self, blocks, tmp_path, fault_plan, paper_generator, golden
     ):
         """Kill after k blocks (before/after/on a checkpoint boundary)."""
         golden_dir, golden_result = golden
         out = tmp_path / "interrupted"
-        with pytest.raises(RuntimeError, match="injected fault"):
+        with (
+            fault_plan(crash_after(blocks)),
+            pytest.raises(RuntimeError, match="injected fault"),
+        ):
             export_fleet_blocks(
                 paper_generator,
                 SEPT_2010,
@@ -101,28 +109,32 @@ class TestInjectedFault:
                 shards=1,
                 checkpoint_every=CHECKPOINT_EVERY,
                 quantiles=True,
-                fault_after=fault_after,
             )
         assert (out / writer.PLAN_NAME).exists()
         assert not (out / "manifest.json").exists()
         resumed = resume_export(paper_generator, str(out), quantiles=True)
-        expected_restored = (fault_after // CHECKPOINT_EVERY) * CHECKPOINT_EVERY
+        expected_restored = (blocks // CHECKPOINT_EVERY) * CHECKPOINT_EVERY
         assert resumed.resumed_blocks == expected_restored
         assert verify_manifest(str(out / "manifest.json")).ok
         assert not (out / writer.PLAN_NAME).exists()
         _assert_identical_runs(golden_dir, golden_result, out, resumed)
 
-    def test_multiprocess_interrupt_then_resume(self, tmp_path, paper_generator):
+    def test_multiprocess_interrupt_then_resume(
+        self, tmp_path, fault_plan, paper_generator
+    ):
         golden_dir = tmp_path / "golden2"
         golden_result = export_fleet_blocks(
             paper_generator, SEPT_2010, SIZE, SEED, str(golden_dir),
             shards=2, checkpoint_every=1, quantiles=True,
         )
         out = tmp_path / "interrupted2"
-        with pytest.raises(RuntimeError, match="injected fault"):
+        with (
+            fault_plan(crash_after(1)),
+            pytest.raises(RuntimeError, match="injected fault"),
+        ):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(out),
-                shards=2, checkpoint_every=1, quantiles=True, fault_after=1,
+                shards=2, checkpoint_every=1, quantiles=True,
             )
         resumed = resume_export(paper_generator, str(out), quantiles=True)
         assert resumed.resumed_blocks >= 1
@@ -174,16 +186,18 @@ class TestMonkeypatchedWriterFault:
         _assert_identical_runs(golden_dir, golden_result, out, resumed)
 
     def test_checkpointed_block_tampered_on_disk_is_regenerated(
-        self, tmp_path, paper_generator, golden
+        self, tmp_path, fault_plan, paper_generator, golden
     ):
         """Corruption of an already-checkpointed block file heals on resume."""
         golden_dir, golden_result = golden
         out = tmp_path / "tampered"
-        with pytest.raises(RuntimeError, match="injected fault"):
+        with (
+            fault_plan(crash_after(3)),
+            pytest.raises(RuntimeError, match="injected fault"),
+        ):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(out),
                 shards=1, checkpoint_every=CHECKPOINT_EVERY, quantiles=True,
-                fault_after=3,
             )
         target = out / "block-000000.csv"
         target.write_bytes(b"flipped" + target.read_bytes()[7:])
@@ -208,11 +222,11 @@ class TestResumeRejections:
         with pytest.raises(StateError, match="cannot read"):
             resume_export(paper_generator, str(tmp_path))
 
-    def test_wrong_plan_version_rejected(self, tmp_path, paper_generator):
-        with pytest.raises(RuntimeError):
+    def test_wrong_plan_version_rejected(self, tmp_path, fault_plan, paper_generator):
+        with fault_plan(crash_after(1)), pytest.raises(RuntimeError):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=1,
+                shards=1, checkpoint_every=1,
             )
         plan_path = tmp_path / writer.PLAN_NAME
         plan = json.loads(plan_path.read_text())
@@ -221,11 +235,11 @@ class TestResumeRejections:
         with pytest.raises(StateError, match="state_version"):
             resume_export(paper_generator, str(tmp_path))
 
-    def test_corrupt_checkpoint_rejected(self, tmp_path, paper_generator):
-        with pytest.raises(RuntimeError):
+    def test_corrupt_checkpoint_rejected(self, tmp_path, fault_plan, paper_generator):
+        with fault_plan(crash_after(2)), pytest.raises(RuntimeError):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=2,
+                shards=1, checkpoint_every=1,
             )
         checkpoint_path = tmp_path / "checkpoint-0000.json"
         checkpoint = json.loads(checkpoint_path.read_text())
@@ -234,7 +248,9 @@ class TestResumeRejections:
         with pytest.raises(StateError, match="checkpoint"):
             resume_export(paper_generator, str(tmp_path))
 
-    def test_generator_parameter_mismatch_rejected(self, tmp_path, paper_generator):
+    def test_generator_parameter_mismatch_rejected(
+        self, tmp_path, fault_plan, paper_generator
+    ):
         """Resuming with different model parameters must not splice fleets."""
         import dataclasses
 
@@ -242,10 +258,10 @@ class TestResumeRejections:
         from repro.core.laws import ExponentialLaw
         from repro.core.parameters import ModelParameters
 
-        with pytest.raises(RuntimeError):
+        with fault_plan(crash_after(2)), pytest.raises(RuntimeError):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=2,
+                shards=1, checkpoint_every=1,
             )
         other_params = dataclasses.replace(
             ModelParameters.paper_reference(),
@@ -268,13 +284,13 @@ class TestResumeRejections:
         ],
     )
     def test_corrupt_plan_fields_raise_state_error(
-        self, tmp_path, paper_generator, mutate, match
+        self, tmp_path, fault_plan, paper_generator, mutate, match
     ):
         """Every plan corruption mode is a StateError, never a raw TypeError."""
-        with pytest.raises(RuntimeError):
+        with fault_plan(crash_after(1)), pytest.raises(RuntimeError):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=1,
+                shards=1, checkpoint_every=1,
             )
         plan_path = tmp_path / writer.PLAN_NAME
         plan = json.loads(plan_path.read_text())
@@ -302,12 +318,12 @@ class TestResumeRejections:
         ],
     )
     def test_corrupt_checkpoint_fields_raise_state_error(
-        self, tmp_path, paper_generator, mutate
+        self, tmp_path, fault_plan, paper_generator, mutate
     ):
-        with pytest.raises(RuntimeError):
+        with fault_plan(crash_after(2)), pytest.raises(RuntimeError):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=2,
+                shards=1, checkpoint_every=1,
             )
         checkpoint_path = tmp_path / "checkpoint-0000.json"
         checkpoint = json.loads(checkpoint_path.read_text())
@@ -316,17 +332,17 @@ class TestResumeRejections:
         with pytest.raises(StateError, match="checkpoint"):
             resume_export(paper_generator, str(tmp_path))
 
-    def test_reducer_mismatch_rejected(self, tmp_path, paper_generator):
-        with pytest.raises(RuntimeError):
+    def test_reducer_mismatch_rejected(self, tmp_path, fault_plan, paper_generator):
+        with fault_plan(crash_after(1)), pytest.raises(RuntimeError):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, quantiles=True, fault_after=1,
+                shards=1, checkpoint_every=1, quantiles=True,
             )
         with pytest.raises(StateError, match="reducer"):
             resume_export(paper_generator, str(tmp_path), quantiles=False)
 
     def test_non_reproducing_generator_fails_on_torn_block(
-        self, tmp_path, paper_generator
+        self, tmp_path, fault_plan, paper_generator
     ):
         """A torn checkpointed file + a fleet that no longer reproduces it
         must fail fast, not finish with a self-contradictory manifest.
@@ -334,10 +350,10 @@ class TestResumeRejections:
         (Simulates resuming in an environment whose RNG stream differs;
         here the recorded digest is forged instead.)
         """
-        with pytest.raises(RuntimeError):
+        with fault_plan(crash_after(2)), pytest.raises(RuntimeError):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1, fault_after=2,
+                shards=1, checkpoint_every=1,
             )
         # tear block 0 on disk and forge its checkpointed digests so the
         # (correct) regeneration cannot match them
@@ -351,14 +367,14 @@ class TestResumeRejections:
             resume_export(paper_generator, str(tmp_path))
 
     def test_npz_torn_checkpointed_block_heals_with_fresh_record(
-        self, tmp_path, paper_generator
+        self, tmp_path, fault_plan, paper_generator
     ):
         """An npz rewrite records the bytes actually on disk (zip metadata
         is not byte-stable), so the healed export still verifies."""
-        with pytest.raises(RuntimeError):
+        with fault_plan(crash_after(3)), pytest.raises(RuntimeError):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, fmt="npz", checkpoint_every=1, fault_after=3,
+                shards=1, fmt="npz", checkpoint_every=1,
             )
         (tmp_path / "block-000001.npz").unlink()
         resumed = resume_export(paper_generator, str(tmp_path))

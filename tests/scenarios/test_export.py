@@ -73,17 +73,20 @@ class TestEveryScenarioExports:
 
 
 class TestCrashResume:
-    def test_resumed_export_is_byte_identical(self, tmp_path):
+    def test_resumed_export_is_byte_identical(self, tmp_path, fault_plan):
         spec = get_scenario_spec("availability")
         whole_dir, crash_dir = tmp_path / "whole", tmp_path / "crash"
         whole = export_fleet_blocks(
             spec.make_generator(), WHEN, SIZE, SEED, str(whole_dir),
             checkpoint_every=1, reducers=spec.profile(),
         )
-        with pytest.raises(RuntimeError, match="injected fault"):
+        with (
+            fault_plan("writer.block.done:kind=raise,after=1"),
+            pytest.raises(RuntimeError, match="injected fault"),
+        ):
             export_fleet_blocks(
                 spec.make_generator(), WHEN, SIZE, SEED, str(crash_dir),
-                checkpoint_every=1, reducers=spec.profile(), fault_after=1,
+                checkpoint_every=1, reducers=spec.profile(),
             )
         resumed = resume_export(
             spec.make_generator(), str(crash_dir), reducers=spec.profile()

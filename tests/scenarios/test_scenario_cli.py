@@ -68,13 +68,15 @@ class TestScenarioRunExport:
 
     def test_interrupt_then_resume_roundtrip(self, tmp_path, capsys):
         out_dir = tmp_path / "resumable"
-        with pytest.raises(RuntimeError, match="injected fault"):
-            main(
-                ["fleet", "scenario", "run", "availability", *SIZE,
-                 "--out-dir", str(out_dir), "--checkpoint-every", "1",
-                 "--fault-after", "1"]
-            )
-        capsys.readouterr()
+        assert main(
+            ["fleet", "scenario", "run", "availability", *SIZE,
+             "--out-dir", str(out_dir), "--checkpoint-every", "1",
+             "--fault-after", "1"]
+        ) == 1
+        assert capsys.readouterr().err == (
+            "fleet scenario run: injected fault at writer.block.done — the "
+            f"partial layout in {out_dir} resumes with --resume\n"
+        )
         assert not (out_dir / "manifest.json").exists()
         assert main(
             ["fleet", "scenario", "run", "availability",

@@ -242,10 +242,15 @@ class TestFleetResumableExport:
 
     def test_interrupt_then_resume_roundtrip(self, tmp_path, capsys):
         out_dir = tmp_path / "resume"
-        with pytest.raises(RuntimeError, match="injected fault"):
+        assert (
             main(["fleet", "export", "--size", "9000", "--out-dir", str(out_dir),
                   "--checkpoint-every", "1", "--fault-after", "1"])
-        capsys.readouterr()
+            == 1
+        )
+        assert capsys.readouterr().err == (
+            "fleet export: injected fault at writer.block.done — the partial "
+            f"layout in {out_dir} resumes with --resume\n"
+        )
         assert not (out_dir / "manifest.json").exists()
         assert (
             main(["fleet", "export", "--resume", "--out-dir", str(out_dir)]) == 0
@@ -287,10 +292,12 @@ class TestFleetResumableExport:
         import json
 
         out_dir = tmp_path / "chunked"
-        with pytest.raises(RuntimeError):
+        assert (
             main(["fleet", "export", "--size", "9000", "--out-dir", str(out_dir),
                   "--checkpoint-every", "1", "--chunk-size", "4321",
                   "--fault-after", "1"])
+            == 1
+        )
         capsys.readouterr()
         plan = json.loads((out_dir / "manifest.partial.json").read_text())
         assert plan["chunk_size"] == 4321
@@ -329,12 +336,53 @@ class TestFleetExportForce:
 
     def test_resume_does_not_need_force(self, tmp_path, capsys):
         out_dir = tmp_path / "resumable"
-        with pytest.raises(RuntimeError, match="injected fault"):
+        assert (
             main(["fleet", "export", "--size", "9000", "--out-dir", str(out_dir),
                   "--checkpoint-every", "1", "--fault-after", "1"])
-        capsys.readouterr()
+            == 1
+        )
+        assert "injected fault" in capsys.readouterr().err
         assert main(["fleet", "export", "--resume",
                      "--out-dir", str(out_dir)]) == 0
+
+
+class TestFaultAliases:
+    """The hidden ``--fault-after`` / ``--coordinator-fault-after`` flags
+    are aliases of ``--fault-spec`` plans (README § Fault injection)."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["fleet", "export"], ["fleet", "scenario", "run", "availability"]],
+        ids=["fleet-export", "scenario-run"],
+    )
+    def test_fault_after_equals_its_block_done_plan(
+        self, tmp_path, capsys, command
+    ):
+        from repro.faults import FIRING_LOG_NAME, read_firings
+
+        def crash(name, *flags):
+            out_dir = tmp_path / name
+            assert main([*command, "--size", "40960", "--shards", "2",
+                         "--checkpoint-every", "2", "--out-dir", str(out_dir),
+                         *flags]) == 1
+            err = capsys.readouterr().err
+            assert "injected fault at writer.block.done" in err
+            assert err.count("\n") == 1
+            layout = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+            log = tmp_path / f"{name}.faults" / FIRING_LOG_NAME
+            firings = sorted(
+                (f["site"], f["kind"], f["invocation"], f["spec"])
+                for f in read_firings(str(log))
+            )
+            return layout, firings
+
+        alias = crash("alias", "--fault-after", "3")
+        spelled = crash(
+            "spelled", "--fault-spec", "writer.block.done:kind=raise,after=3"
+        )
+        assert alias == spelled
+        assert "manifest.partial.json" in alias[0]
+        assert alias[1] == [("writer.block.done", "raise", 3, 0)] * 2
 
 
 class TestFleetStartMethodEnv:
@@ -450,6 +498,11 @@ class TestFleetDistributedCli:
             (["--metrics", "metrics.json"], "--metrics"),
             (["--lease-depth", "2"], "--lease-depth"),
             (["--checkpoint-every", "-1"], "--checkpoint-every"),
+            (["--date", "2010-13-45"], "'2010-13-45'"),
+            (["--backend", "distributed", "--coordinator-fault-after", "0"],
+             "--coordinator-fault-after"),
+            (["--fault-after", "1"], "per-shard layout"),
+            (["--coordinator-fault-after", "1"], "--backend distributed"),
         ],
     )
     def test_distributed_flag_validation_exits_2(self, tmp_path, capsys, argv, match):
