@@ -77,14 +77,15 @@ Resumable runs
 --------------
 Before any worker spawns the coordinator writes a plan
 (:data:`DISTRIBUTED_PLAN_NAME`, kind ``FleetDistributedPlan``) pinning
-the run parameters, then appends one ``FleetLeaseCheckpoint`` envelope
-line to :data:`DISTRIBUTED_LEASE_LOG` per completed lease — the same
-``stats/state.py`` envelope contract the PR 3 checkpoint layer uses.
+the run parameters, then appends one fsynced ``FleetLeaseCheckpoint``
+line to :data:`DISTRIBUTED_LEASE_LOG` per completed lease — the record
+the block layout's shard logs hold, written, read and finalised by the
+same :mod:`~repro.engine.writer` functions.
 :func:`resume_fleet_distributed` (CLI: ``fleet export --backend
 distributed --resume``) validates the plan against the generator,
 re-verifies every checkpointed block file on disk, restores the reducer
 states, and re-leases only the incomplete ranges; a torn final log line
-(the coordinator died mid-append) is discarded and its lease re-run.
+(the coordinator died mid-append) is dropped and its lease re-run.
 Both files are removed when the manifest is finalised.
 
 Observability
@@ -136,33 +137,30 @@ from repro.engine.retry import (
     RetryError,
 )
 from repro.engine.reduce import ChunkedFold, QuantileReducer, ReducerSet
-from repro.engine.sharding import (
-    FleetStatistics,
-    _pool_context,
-    _resolve_factories,
-    _when_as_float,
-)
+from repro.engine.sharding import FleetStatistics, _pool_context, _resolve_factories
 from repro.engine.streaming import (
     DEFAULT_CHUNK_SIZE,
     RNG_BLOCK_SIZE,
     as_seed_sequence,
     block_count,
     block_seeds,
-    combine_block_digests,
     population_digest,
 )
 from repro.engine.csvfmt import encode_csv_rows
-from repro.engine.table import block_schema, generator_schema
+from repro.engine.table import block_schema
 from repro.engine.writer import (
-    MANIFEST_VERSION,
+    DISTRIBUTED_LEASE_LOG,
+    DISTRIBUTED_PLAN_NAME,
     FleetManifest,
-    SegmentRecord,
+    _append_checkpoint,
     _block_name,
-    _generator_fingerprint,
-    _hash_file_into,
-    _load_json,
-    _read_matching_block,
-    _remove_quiet,
+    _BlockRun,
+    _build_plan,
+    _clear_resume_state,
+    _decode_block_entries,
+    _finalise_blocks,
+    _load_plan,
+    _read_checkpoint_log,
     _write_json_atomic,
 )
 from repro.faults.injector import fire as _fire
@@ -179,7 +177,7 @@ from repro.faults.sites import (
     SITE_WORKER_BLOCK,
     SITE_WORKER_DIAL,
 )
-from repro.stats.state import StateError, make_envelope, require_state, state_field
+from repro.stats.state import StateError, make_envelope
 
 #: Wire protocol schema version; hello/job frames carry and check it.
 #: v2 added token auth, coordinator heartbeats, worker read deadlines,
@@ -218,23 +216,20 @@ STEAL_AFTER = 5.0
 #: Environment variable supplying the shared fleet token.
 FLEET_TOKEN_ENV = "REPRO_FLEET_TOKEN"
 
-#: Plan file a distributed run writes before spawning workers; its
-#: presence (without a final manifest) marks an interrupted run.  Named
-#: distinctly from the writer's ``manifest.partial.json`` so
-#: ``resume_export`` and ``resume_fleet_distributed`` cannot mistake one
-#: another's layouts.
-DISTRIBUTED_PLAN_NAME = "distributed-plan.json"
-
-#: Append-only lease checkpoint log (one JSON envelope per line).
-DISTRIBUTED_LEASE_LOG = "distributed-leases.jsonl"
-
-#: Envelope kinds of the distributed plan/checkpoint/metrics payloads.
+#: Envelope kinds of the distributed plan and metrics payloads (the plan
+#: file and lease log names live in :mod:`~repro.engine.writer`, which
+#: owns the resume protocol both layouts share).
 DISTRIBUTED_PLAN_KIND = "FleetDistributedPlan"
-LEASE_CHECKPOINT_KIND = "FleetLeaseCheckpoint"
 DISTRIBUTED_METRICS_KIND = "FleetDistributedMetrics"
 
-#: Schema version of the distributed plan/checkpoint/metrics envelopes.
+#: Schema version of the distributed metrics envelope.
 DISTRIBUTED_STATE_VERSION = 1
+
+#: Plan fields the job frame forwards to workers verbatim.
+_JOB_FIELDS = (
+    "generator", "when", "size", "entropy", "spawn_key", "block_size",
+    "format", "chunk_size", "reducers", "reducer_args",
+)
 
 #: Upper edges (seconds) of the heartbeat-gap histogram buckets; the
 #: final bucket is open-ended.  Gaps land left of the first edge when the
@@ -338,25 +333,36 @@ def _wire_reducer_spec(name: str, factory) -> "list":
     return encoded
 
 
-def _rebuild_wire_factory(cls, raw):
-    """Rebuild a reducer factory from its :func:`_wire_reducer_spec` form.
+def _wire_factories(names, reducer_args) -> dict:
+    """Rebuild reducer factories from a job's or plan's ``reducers`` names
+    and ``reducer_args`` (:func:`_wire_reducer_spec` forms).
 
     ``None``/``[]`` mean the bare registry class; label lists come back as
-    tuples.  Malformed payloads raise :class:`ValueError`.
+    tuples.  Unknown names and malformed payloads raise :class:`ValueError`.
     """
-    if not raw:
-        return cls
-    if not isinstance(raw, list):
-        raise ValueError(f"reducer argument payload must be a list, got {raw!r}")
-    args: "list" = []
-    for item in raw:
-        if isinstance(item, list) and all(isinstance(v, str) for v in item):
-            args.append(tuple(item))
-        elif isinstance(item, (int, float)) and not isinstance(item, bool):
-            args.append(item)
-        else:
-            raise ValueError(f"malformed wire reducer argument {item!r}")
-    return functools.partial(cls, *args)
+    if not isinstance(reducer_args, dict):
+        raise ValueError("reducer_args must be an object")
+    factories = {}
+    for name in names:
+        cls = WIRE_REDUCER_FACTORIES.get(name)
+        if cls is None:
+            raise ValueError(
+                f"unknown wire reducer {name!r}; this engine knows "
+                f"{sorted(WIRE_REDUCER_FACTORIES)}"
+            )
+        raw = reducer_args.get(name)
+        if not isinstance(raw, (list, type(None))):
+            raise ValueError(f"reducer argument payload must be a list, got {raw!r}")
+        args: "list" = []
+        for item in raw or ():
+            if isinstance(item, list) and all(isinstance(v, str) for v in item):
+                args.append(tuple(item))
+            elif isinstance(item, (int, float)) and not isinstance(item, bool):
+                args.append(item)
+            else:
+                raise ValueError(f"malformed wire reducer argument {item!r}")
+        factories[name] = functools.partial(cls, *args) if args else cls
+    return factories
 
 
 def _wire_reducer_args(factories: dict) -> "dict[str, list]":
@@ -596,22 +602,10 @@ def _worker_loop(
             f"unknown wire generator {generator_name!r}; this worker only "
             "builds registered generator families"
         )
-    factories = {}
-    reducer_args = job.get("reducer_args", {})
-    if not isinstance(reducer_args, dict):
-        return refuse("malformed job: reducer_args must be an object")
-    for name in job.get("reducers", []):
-        factory = WIRE_REDUCER_FACTORIES.get(name)
-        if factory is None:
-            return refuse(
-                f"unknown wire reducer {name!r}; this worker knows "
-                f"{sorted(WIRE_REDUCER_FACTORIES)}"
-            )
-        try:
-            factories[name] = _rebuild_wire_factory(factory, reducer_args.get(name))
-        except ValueError as error:
-            return refuse(f"malformed job: {error}")
     try:
+        factories = _wire_factories(
+            job.get("reducers", []), job.get("reducer_args", {})
+        )
         generator = builder(job["params"])
         size = int(job["size"])
         when = float(job["when"])
@@ -926,57 +920,6 @@ def _lease_ranges(n_blocks: int, lease_blocks: int) -> "list[tuple[int, int]]":
     ]
 
 
-def _decode_block_entries(
-    blocks, lease: "tuple[int, int]", size: int, inline: bool
-) -> "tuple[list[SegmentRecord], list[tuple[int, bytes]], list[tuple[int, bytes]]]":
-    """Decode one lease's block entries into segment records and digests.
-
-    Shared by live result validation and checkpoint-log restore: both
-    carry the same ``{index, sha256, bytes, digest}`` entries, the former
-    with inline base64 data for remote workers (``inline=True``).  Any
-    malformed piece raises :class:`ProtocolError` (or the decode errors
-    the callers map).
-    """
-    lo, hi = lease
-    if not isinstance(blocks, list) or len(blocks) != hi - lo:
-        raise ProtocolError(f"result must carry exactly {hi - lo} block entries")
-    records: "list[SegmentRecord]" = []
-    digests: "list[tuple[int, bytes]]" = []
-    writes: "list[tuple[int, bytes]]" = []
-    for position, raw in enumerate(blocks):
-        index = lo + position
-        if not isinstance(raw, dict) or raw.get("index") != index:
-            raise ProtocolError(f"block entry {position} is not block {index}")
-        digest = bytes.fromhex(raw["digest"])
-        sha = raw["sha256"]
-        nbytes = raw["bytes"]
-        if not isinstance(sha, str) or len(bytes.fromhex(sha)) != 32:
-            raise ProtocolError(f"block {index} sha256 is malformed")
-        if not isinstance(nbytes, int) or isinstance(nbytes, bool) or nbytes < 0:
-            raise ProtocolError(f"block {index} byte count is malformed")
-        if inline:
-            data = base64.b64decode(raw["data"], validate=True)
-            if hashlib.sha256(data).hexdigest() != sha or len(data) != nbytes:
-                raise ProtocolError(
-                    f"block {index} inline data does not match its digest"
-                )
-            writes.append((index, data))
-        records.append(
-            SegmentRecord(
-                path=_block_name(index, "csv"),
-                shard=0,
-                block_lo=index,
-                block_hi=index + 1,
-                row_lo=min(index * RNG_BLOCK_SIZE, size),
-                row_hi=min((index + 1) * RNG_BLOCK_SIZE, size),
-                sha256=sha,
-                bytes=nbytes,
-            )
-        )
-        digests.append((index, digest))
-    return records, digests, writes
-
-
 class _Coordinator:
     """Single-threaded scheduler over reader-thread-fed worker events."""
 
@@ -990,7 +933,6 @@ class _Coordinator:
         worker_timeout: float,
         token: "str | None" = None,
         lease_depth: int = DEFAULT_LEASE_DEPTH,
-        checkpoint_log=None,
         completed: "dict | None" = None,
     ):
         self.job = job
@@ -1001,7 +943,8 @@ class _Coordinator:
         self.worker_timeout = worker_timeout
         self.token = token
         self.lease_depth = lease_depth
-        self.checkpoint_log = checkpoint_log
+        #: The lease log, opened "ab" once the local workers exist.
+        self.checkpoint_log = None
         self.events: Queue = Queue()
         self.remotes: "list[_Remote]" = []
         self.completed: "dict[tuple[int, int], dict]" = dict(completed or {})
@@ -1256,8 +1199,8 @@ class _Coordinator:
             del remote.leases[lease]
             return  # a speculative duplicate lost the race; first result won
         try:
-            entry = self._validate_result(remote, lease, message)
-        except (StateError, ProtocolError, ValueError, TypeError, KeyError) as error:
+            run, writes = self._validate_result(remote, lease, message)
+        except (ValueError, TypeError, KeyError) as error:
             # The lease is still attached to the remote here, so _drop
             # requeues it — clearing it first would leak the lease and
             # hang the export once the healthy workers drain the queue.
@@ -1265,12 +1208,12 @@ class _Coordinator:
                 remote, f"rejected result from {remote.name}: {error}"
             )
         started = remote.leases.pop(lease)
-        for index, data in entry.pop("writes"):
+        for index, data in writes:
             with open(
                 os.path.join(self.out_dir, _block_name(index, "csv")), "wb"
             ) as handle:
                 handle.write(data)
-        self.completed[lease] = entry
+        self.completed[lease] = run
         now = time.monotonic()
         self.last_progress = now
         self.lease_events.append(
@@ -1284,29 +1227,26 @@ class _Coordinator:
         stats = self._worker_entry(remote)
         stats["leases_completed"] += 1
         stats["blocks_completed"] += lease[1] - lease[0]
-        self._checkpoint(lease, entry)
-
-    def _checkpoint(self, lease: "tuple[int, int]", entry: dict) -> None:
-        """Append one lease-completion envelope to the checkpoint log."""
-        if self.checkpoint_log is None:
-            return
-        _fire(SITE_COORDINATOR_CHECKPOINT, path=self.checkpoint_log.name)
-        self.checkpoint_log.write(_checkpoint_line(lease, entry))
-        self.checkpoint_log.flush()
+        if self.checkpoint_log is not None:
+            _append_checkpoint(
+                self.checkpoint_log, SITE_COORDINATOR_CHECKPOINT, lease[0],
+                run.records, run.digests, run.reducers,
+            )
 
     def _validate_result(
         self, remote: _Remote, lease: "tuple[int, int]", message: dict
-    ) -> dict:
+    ) -> "tuple[_BlockRun, list[tuple[int, bytes]]]":
         """Decode one lease result, mapping any malformed piece to an error.
 
-        Returns the segment records, block digests, restored reducer set
-        and (for inline transport) the decoded file bytes to write.  The
-        reducer payload goes through :meth:`ReducerSet.from_state` here,
-        so a corrupt or version-mismatched state is caught while we can
-        still retire the worker and requeue its lease.
+        Returns the lease's run (segment records, block digests, restored
+        reducer set) and, for inline transport, the decoded file bytes to
+        write.  The reducer payload goes through
+        :meth:`ReducerSet.from_state` here, so a corrupt or
+        version-mismatched state is caught while we can still retire the
+        worker and requeue its lease.
         """
         records, digests, writes = _decode_block_entries(
-            message.get("blocks"), lease, self.size, inline=not remote.local
+            message.get("blocks"), *lease, self.size, inline=not remote.local
         )
         restored = ReducerSet.from_state(message["reducers"])
         if set(restored.names()) != set(self.factories):
@@ -1314,12 +1254,7 @@ class _Coordinator:
                 f"result reducers {sorted(restored.names())} do not match the "
                 f"job's {sorted(self.factories)}"
             )
-        return {
-            "records": records,
-            "digests": digests,
-            "reducers": restored,
-            "writes": writes,
-        }
+        return _BlockRun(*lease, records, digests, restored), writes
 
     # -- main loop -----------------------------------------------------------
 
@@ -1376,142 +1311,6 @@ class _Coordinator:
                 self._send(remote, {"type": "shutdown"})
 
 
-# -- plan / checkpoint log ---------------------------------------------------
-
-
-def _checkpoint_line(lease: "tuple[int, int]", entry: dict) -> str:
-    """One ``FleetLeaseCheckpoint`` envelope as a checkpoint-log line."""
-    blocks = [
-        {
-            "index": record.block_lo,
-            "sha256": record.sha256,
-            "bytes": record.bytes,
-            "digest": digest.hex(),
-        }
-        for record, (_, digest) in zip(entry["records"], entry["digests"])
-    ]
-    payload = make_envelope(
-        LEASE_CHECKPOINT_KIND,
-        DISTRIBUTED_STATE_VERSION,
-        {
-            "block_lo": lease[0],
-            "block_hi": lease[1],
-            "blocks": blocks,
-            "reducers": entry["reducers"].to_state(),
-        },
-    )
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def _build_plan(
-    generator,
-    when_value: float,
-    size: int,
-    entropy: str,
-    spawn_key: "tuple[int, ...]",
-    lease_blocks: int,
-    chunk_size: int,
-    factories: dict,
-    manifest_name: str,
-) -> dict:
-    """The ``FleetDistributedPlan`` envelope pinning a run's parameters."""
-    return make_envelope(
-        DISTRIBUTED_PLAN_KIND,
-        DISTRIBUTED_STATE_VERSION,
-        {
-            "version": MANIFEST_VERSION,
-            "format": "csv",
-            "size": size,
-            "when": when_value,
-            "entropy": entropy,
-            "spawn_key": list(spawn_key),
-            "block_size": RNG_BLOCK_SIZE,
-            "lease_blocks": lease_blocks,
-            "chunk_size": chunk_size,
-            "reducers": sorted(factories),
-            "reducer_args": _wire_reducer_args(factories),
-            "generator": getattr(generator, "wire_name", "CorrelatedHostGenerator"),
-            "generator_sha256": _generator_fingerprint(generator),
-            "manifest_name": manifest_name,
-        },
-    )
-
-
-def _load_lease_checkpoints(
-    out_dir: str,
-    leases: "list[tuple[int, int]]",
-    factories: dict,
-    size: int,
-) -> "dict[tuple[int, int], dict]":
-    """Completed-lease entries restored from the checkpoint log.
-
-    Every checkpointed block file is re-verified against its recorded
-    size and sha256 (:func:`_read_matching_block`); a lease whose files
-    vanished or rotted is silently treated as incomplete and re-run.  A
-    torn *final* line — the coordinator was killed mid-append — is
-    discarded; malformed JSON anywhere earlier is corruption and raises
-    :class:`StateError`, as do envelope/lease-grid/reducer mismatches.
-    """
-    path = os.path.join(out_dir, DISTRIBUTED_LEASE_LOG)
-    completed: "dict[tuple[int, int], dict]" = {}
-    if not os.path.exists(path):
-        return completed
-    expected = set(leases)
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for number, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            if number == len(lines):
-                break  # torn tail from the crash; its lease is re-run
-            raise StateError(
-                f"lease checkpoint line {number} of {path} is not valid JSON"
-            )
-        require_state(payload, LEASE_CHECKPOINT_KIND, DISTRIBUTED_STATE_VERSION)
-        lo = state_field(payload, LEASE_CHECKPOINT_KIND, "block_lo")
-        hi = state_field(payload, LEASE_CHECKPOINT_KIND, "block_hi")
-        lease = (lo, hi)
-        if lease not in expected:
-            raise StateError(
-                f"lease checkpoint [{lo}, {hi}) does not match the plan's "
-                "lease grid"
-            )
-        try:
-            records, digests, _ = _decode_block_entries(
-                state_field(payload, LEASE_CHECKPOINT_KIND, "blocks"),
-                lease,
-                size,
-                inline=False,
-            )
-        except (ProtocolError, TypeError, ValueError, KeyError) as error:
-            raise StateError(f"lease checkpoint [{lo}, {hi}) is malformed: {error}")
-        if any(
-            _read_matching_block(os.path.join(out_dir, record.path), record) is None
-            for record in records
-        ):
-            continue  # block file missing or corrupt: regenerate the lease
-        restored = ReducerSet.from_state(
-            state_field(payload, LEASE_CHECKPOINT_KIND, "reducers")
-        )
-        if set(restored.names()) != set(factories):
-            raise StateError(
-                f"lease checkpoint [{lo}, {hi}) reducers "
-                f"{sorted(restored.names())} do not match the plan's "
-                f"{sorted(factories)}"
-            )
-        completed[lease] = {
-            "records": records,
-            "digests": digests,
-            "reducers": restored,
-            "writes": [],
-        }
-    return completed
-
-
 # -- entry points ------------------------------------------------------------
 
 
@@ -1559,69 +1358,40 @@ def export_fleet_distributed(
         raise ValueError("chunk_size must be at least 1")
     if lease_blocks < 1:
         raise ValueError("lease_blocks must be at least 1")
-    if lease_depth < 1:
-        raise ValueError("lease_depth must be at least 1")
-    if workers < 0:
-        raise ValueError("workers must be non-negative")
-    connect = list(connect)
-    if workers + len(connect) < 1:
-        raise ValueError("need at least one worker (workers >= 1 or connect=...)")
-    if worker_timeout <= 0:
-        raise ValueError("worker_timeout must be positive")
-    to_json = getattr(getattr(generator, "parameters", None), "to_json", None)
-    if to_json is None:
+    _check_fleet_args(workers, connect, worker_timeout, lease_depth)
+    if getattr(getattr(generator, "parameters", None), "to_json", None) is None:
         raise ValueError(
             "the distributed backend serialises the generator by its "
             "parameters; it needs generator.parameters.to_json()"
         )
     factories = _resolve_factories(reducers, quantiles)
-    # Validate every factory's wire form up front (raises ValueError on a
-    # factory that cannot travel as a registry name + JSON-safe arguments).
-    _wire_reducer_args(factories)
-    root = as_seed_sequence(rng)
-    when_value = _when_as_float(when)
+    plan = _build_plan(
+        DISTRIBUTED_PLAN_KIND, generator, when, size, as_seed_sequence(rng),
+        "csv", chunk_size, factories, manifest_name, lease_blocks=lease_blocks,
+        # Raises ValueError on a factory that cannot travel the wire.
+        reducer_args=_wire_reducer_args(factories),
+    )
     out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    entropy = str(root.entropy)
-    spawn_key = tuple(int(k) for k in root.spawn_key)
-    leases = _lease_ranges(block_count(size), lease_blocks)
-    plan = _build_plan(
-        generator,
-        when_value,
-        size,
-        entropy,
-        spawn_key,
-        lease_blocks,
-        chunk_size,
-        factories,
-        manifest_name,
-    )
-    # A fresh run owns the directory: pin the plan, discard any stale
-    # checkpoint log so old lease lines cannot splice into this export.
+    # A fresh run owns the directory: clear every earlier run's resume
+    # state, whatever its backend, then pin the plan.
+    _clear_resume_state(out_dir)
     _write_json_atomic(os.path.join(out_dir, DISTRIBUTED_PLAN_NAME), plan)
-    _remove_quiet(os.path.join(out_dir, DISTRIBUTED_LEASE_LOG))
     return _run_distributed(
-        generator=generator,
-        when_value=when_value,
-        size=size,
-        entropy=entropy,
-        spawn_key=spawn_key,
-        out_dir=out_dir,
-        factories=factories,
-        chunk_size=chunk_size,
-        lease_blocks=lease_blocks,
-        leases=leases,
-        completed={},
-        resumed_leases=0,
-        workers=workers,
-        connect=connect,
-        worker_timeout=worker_timeout,
-        lease_depth=lease_depth,
-        manifest_name=manifest_name,
-        start_method=start_method,
-        token=token,
-        metrics_path=metrics_path,
+        generator, plan, out_dir, factories, {}, workers, list(connect),
+        worker_timeout, lease_depth, start_method, token, metrics_path,
     )
+
+
+def _check_fleet_args(workers, connect, worker_timeout, lease_depth) -> None:
+    if workers < 0:
+        raise ValueError("workers must be non-negative")
+    if workers + len(connect) < 1:
+        raise ValueError("need at least one worker (workers >= 1 or connect=...)")
+    if worker_timeout <= 0:
+        raise ValueError("worker_timeout must be positive")
+    if lease_depth < 1:
+        raise ValueError("lease_depth must be at least 1")
 
 
 def resume_fleet_distributed(
@@ -1647,172 +1417,55 @@ def resume_fleet_distributed(
     nothing to resume or the plan/checkpoints are corrupt, mismatched
     with ``generator``, or wrong-versioned.
     """
-    if workers < 0:
-        raise ValueError("workers must be non-negative")
-    connect = list(connect)
-    if workers + len(connect) < 1:
-        raise ValueError("need at least one worker (workers >= 1 or connect=...)")
-    if worker_timeout <= 0:
-        raise ValueError("worker_timeout must be positive")
-    if lease_depth < 1:
-        raise ValueError("lease_depth must be at least 1")
+    _check_fleet_args(workers, connect, worker_timeout, lease_depth)
     out_dir = os.path.abspath(out_dir)
-    plan_path = os.path.join(out_dir, DISTRIBUTED_PLAN_NAME)
-    if not os.path.exists(plan_path):
-        raise StateError(
-            f"nothing to resume in {out_dir}: no {DISTRIBUTED_PLAN_NAME} "
-            "(not a distributed export, or it already finalised)"
-        )
-    plan = _load_json(plan_path, "distributed plan")
-    require_state(plan, DISTRIBUTED_PLAN_KIND, DISTRIBUTED_STATE_VERSION)
-
-    def plan_int(name: str, minimum: int) -> int:
-        value = state_field(plan, DISTRIBUTED_PLAN_KIND, name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            raise StateError(
-                f"distributed plan field {name!r} must be an integer >= "
-                f"{minimum}, got {value!r}"
-            )
-        return value
-
-    size = plan_int("size", 0)
-    lease_blocks = plan_int("lease_blocks", 1)
-    chunk_size = plan_int("chunk_size", 1)
-    if plan_int("block_size", 1) != RNG_BLOCK_SIZE:
-        raise StateError(
-            f"distributed plan block size {plan['block_size']} does not match "
-            f"this engine's {RNG_BLOCK_SIZE}"
-        )
-    if plan.get("version") != MANIFEST_VERSION:
-        raise StateError(
-            f"distributed plan manifest version {plan.get('version')!r} is "
-            f"not the supported {MANIFEST_VERSION}"
-        )
-    if state_field(plan, DISTRIBUTED_PLAN_KIND, "format") != "csv":
-        raise StateError(
-            f"distributed plan format {plan['format']!r} is not csv"
-        )
-    fingerprint = _generator_fingerprint(generator)
-    recorded = state_field(plan, DISTRIBUTED_PLAN_KIND, "generator_sha256")
-    if fingerprint != recorded:
-        raise StateError(
-            "generator parameters do not match the interrupted export "
-            f"(plan sha256 {recorded!r}, resuming generator {fingerprint!r})"
-        )
-    plan_generator = plan.get("generator", "CorrelatedHostGenerator")
-    if not isinstance(plan_generator, str):
-        raise StateError("distributed plan field 'generator' must be a string")
-    resuming = getattr(generator, "wire_name", "CorrelatedHostGenerator")
-    if resuming != plan_generator:
-        raise StateError(
-            f"distributed plan was built for generator {plan_generator!r}; "
-            f"cannot resume it with {resuming!r}"
-        )
-    names = state_field(plan, DISTRIBUTED_PLAN_KIND, "reducers")
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise StateError("distributed plan field 'reducers' must be a name list")
-    raw_args = plan.get("reducer_args", {})
-    if not isinstance(raw_args, dict):
-        raise StateError("distributed plan field 'reducer_args' must be an object")
-    factories = {}
-    for name in names:
-        factory = WIRE_REDUCER_FACTORIES.get(name)
-        if factory is None:
-            raise StateError(f"distributed plan names unknown wire reducer {name!r}")
-        try:
-            factories[name] = _rebuild_wire_factory(factory, raw_args.get(name))
-        except ValueError as error:
-            raise StateError(f"distributed plan reducer {name!r} is malformed: {error}")
-    entropy = state_field(plan, DISTRIBUTED_PLAN_KIND, "entropy")
-    raw_spawn_key = state_field(plan, DISTRIBUTED_PLAN_KIND, "spawn_key")
+    plan, _ = _load_plan(
+        out_dir, DISTRIBUTED_PLAN_NAME, DISTRIBUTED_PLAN_KIND, generator,
+        ("csv",), {"lease_blocks": 1},
+    )
     try:
-        int(entropy)
-        spawn_key = tuple(int(k) for k in raw_spawn_key)
-        when_value = float(state_field(plan, DISTRIBUTED_PLAN_KIND, "when"))
-    except (TypeError, ValueError) as error:
-        raise StateError(f"distributed plan seed fields are malformed: {error}")
-    manifest_name = state_field(plan, DISTRIBUTED_PLAN_KIND, "manifest_name")
-    if not isinstance(manifest_name, str) or not manifest_name:
-        raise StateError("distributed plan field 'manifest_name' is malformed")
-    leases = _lease_ranges(block_count(size), lease_blocks)
-    completed = _load_lease_checkpoints(out_dir, leases, factories, size)
+        factories = _wire_factories(plan["reducers"], plan.get("reducer_args", {}))
+    except ValueError as error:
+        raise StateError(f"distributed plan reducers are malformed: {error}")
+    leases = dict(_lease_ranges(block_count(plan["size"]), plan["lease_blocks"]))
+    completed = {}
+    for run in _read_checkpoint_log(
+        os.path.join(out_dir, DISTRIBUTED_LEASE_LOG),
+        {lo: (hi, 0) for lo, hi in leases.items()}, factories, plan["size"], "csv",
+    ).values():
+        if run.hi != leases[run.lo]:
+            raise StateError(
+                f"lease checkpoint [{run.lo}, {run.hi}) does not cover its "
+                "lease of the plan's lease grid"
+            )
+        # A lease whose block files vanished or rotted is re-run.
+        if all(run.intact):
+            completed[(run.lo, run.hi)] = run
     return _run_distributed(
-        generator=generator,
-        when_value=when_value,
-        size=size,
-        entropy=entropy,
-        spawn_key=spawn_key,
-        out_dir=out_dir,
-        factories=factories,
-        chunk_size=chunk_size,
-        lease_blocks=lease_blocks,
-        leases=leases,
-        completed=completed,
-        resumed_leases=len(completed),
-        workers=workers,
-        connect=connect,
-        worker_timeout=worker_timeout,
-        lease_depth=lease_depth,
-        manifest_name=manifest_name,
-        start_method=start_method,
-        token=token,
-        metrics_path=metrics_path,
+        generator, plan, out_dir, factories, completed, workers, list(connect),
+        worker_timeout, lease_depth, start_method, token, metrics_path,
     )
 
 
 def _run_distributed(
-    generator,
-    when_value: float,
-    size: int,
-    entropy: str,
-    spawn_key: "tuple[int, ...]",
-    out_dir: str,
-    factories: dict,
-    chunk_size: int,
-    lease_blocks: int,
-    leases: "list[tuple[int, int]]",
-    completed: "dict[tuple[int, int], dict]",
-    resumed_leases: int,
-    workers: int,
-    connect: "list[tuple[str, int]]",
-    worker_timeout: float,
-    lease_depth: int,
-    manifest_name: str,
-    start_method: "str | None",
-    token: "str | None",
-    metrics_path: "str | None",
+    generator, plan, out_dir, factories, completed, workers, connect,
+    worker_timeout, lease_depth, start_method, token, metrics_path,
 ) -> DistributedExportResult:
     """Shared core of fresh and resumed distributed exports: run the
     coordinator over the pending leases, then finalise manifest,
     statistics and metrics."""
-    job = {
-        "type": "job",
-        "protocol": PROTOCOL_VERSION,
-        "generator": getattr(generator, "wire_name", "CorrelatedHostGenerator"),
-        "params": generator.parameters.to_json(),
-        "when": when_value,
-        "size": size,
-        "entropy": entropy,
-        "spawn_key": [int(k) for k in spawn_key],
-        "block_size": RNG_BLOCK_SIZE,
-        "format": "csv",
-        "chunk_size": chunk_size,
-        "reducers": sorted(factories),
-        "reducer_args": _wire_reducer_args(factories),
-        "worker_timeout": worker_timeout,
-        "lease_depth": lease_depth,
-    }
+    job = {key: plan[key] for key in _JOB_FIELDS}
+    job.update(
+        type="job",
+        protocol=PROTOCOL_VERSION,
+        params=generator.parameters.to_json(),
+        worker_timeout=worker_timeout,
+        lease_depth=lease_depth,
+    )
     if token is not None:
         job["token"] = token
-    # Rewrite the log from the restored entries rather than appending: a
-    # torn tail line from the crash would otherwise sit mid-file after
-    # this run's first checkpoint, corrupting any *second* resume.
-    checkpoint_log = open(
-        os.path.join(out_dir, DISTRIBUTED_LEASE_LOG), "w", encoding="utf-8"
-    )
-    for lease in sorted(completed):
-        checkpoint_log.write(_checkpoint_line(lease, completed[lease]))
-    checkpoint_log.flush()
+    size, resumed_leases = plan["size"], len(completed)
+    leases = _lease_ranges(block_count(size), plan["lease_blocks"])
     coordinator = _Coordinator(
         job,
         leases,
@@ -1822,7 +1475,6 @@ def _run_distributed(
         worker_timeout,
         token=token,
         lease_depth=lease_depth,
-        checkpoint_log=checkpoint_log,
         completed=completed,
     )
 
@@ -1870,13 +1522,19 @@ def _run_distributed(
                 threading.Thread(
                     target=coordinator._accept_loop, args=(listener,), daemon=True
                 ).start()
+            # Opened only now that every local worker exists, so no forked
+            # worker inherits a descriptor of the log it must never write.
+            coordinator.checkpoint_log = open(
+                os.path.join(out_dir, DISTRIBUTED_LEASE_LOG), "ab"
+            )
             for host, port in connect:
                 sock = _dial(host, port, SITE_CONNECT_DIAL, timeout=worker_timeout)
                 sock.settimeout(None)
                 coordinator.attach(sock, f"tcp-{host}:{port}", local=False)
             coordinator.run()
     finally:
-        checkpoint_log.close()
+        if coordinator.checkpoint_log is not None:
+            coordinator.checkpoint_log.close()
         if listener is not None:
             listener.close()
         for remote in coordinator.remotes:
@@ -1891,55 +1549,11 @@ def _run_distributed(
                 process.join(timeout=5)
     elapsed = time.perf_counter() - start
 
-    records: "list[SegmentRecord]" = []
-    all_digests: "list[tuple[int, bytes]]" = []
-    merged = ReducerSet.from_factories(factories)
-    for lease in sorted(coordinator.completed):
-        entry = coordinator.completed[lease]
-        records.extend(entry["records"])
-        all_digests.extend(entry["digests"])
-        merged.merge(entry["reducers"])
-
-    payload_hash = hashlib.sha256()
-    for record in records:
-        path = os.path.join(out_dir, record.path)
-        file_hash = hashlib.sha256()
-        _hash_file_into(path, file_hash, payload_hash)
-        if file_hash.hexdigest() != record.sha256:
-            raise RuntimeError(
-                f"segment {record.path} on disk does not match the digest its "
-                "worker reported; refusing to finalise a corrupt export"
-            )
-
-    manifest = FleetManifest(
-        version=MANIFEST_VERSION,
-        format="csv",
-        size=size,
-        when=when_value,
-        entropy=entropy,
-        spawn_key=spawn_key,
-        shards=1,
-        block_size=RNG_BLOCK_SIZE,
-        header=generator_schema(generator).csv_header,
-        payload_sha256=payload_hash.hexdigest(),
-        fleet_sha256=combine_block_digests(all_digests),
-        segments=tuple(records),
-        layout="block",
-        checkpoint_every=0,
-    )
-    manifest.save(os.path.join(out_dir, manifest_name))
-    # The run is finalised: the plan and lease log are no longer needed
-    # (and their absence is what marks the directory as complete).
-    _remove_quiet(os.path.join(out_dir, DISTRIBUTED_PLAN_NAME))
-    _remove_quiet(os.path.join(out_dir, DISTRIBUTED_LEASE_LOG))
-
-    statistics = FleetStatistics(
-        size=size,
-        when=when_value,
-        shards=max(1, coordinator.workers_seen),
-        reducers=merged,
-        elapsed_seconds=elapsed,
-        digest=manifest.fleet_sha256,
+    # Workers report each block file's sha256; the finaliser re-hashes
+    # every file against it before trusting the export.
+    manifest, statistics = _finalise_blocks(
+        generator, plan, out_dir, factories, coordinator.completed.values(),
+        elapsed, max(1, coordinator.workers_seen), check_files=True,
     )
     metrics = make_envelope(
         DISTRIBUTED_METRICS_KIND,
@@ -1947,7 +1561,7 @@ def _run_distributed(
         {
             "elapsed_seconds": elapsed,
             "size": size,
-            "lease_blocks": lease_blocks,
+            "lease_blocks": plan["lease_blocks"],
             "lease_depth": lease_depth,
             "leases_total": len(leases),
             "leases_run": len(coordinator.completed) - resumed_leases,

@@ -13,14 +13,19 @@ Two segment layouts share the manifest schema:
     One segment per shard — the compact archival layout.
 ``layout="block"`` (:func:`export_fleet_blocks`)
     One segment per RNG block, plus periodic reducer-state checkpoints,
-    so a killed export loses at most ``checkpoint_every`` blocks of work:
-    :func:`resume_export` scans the partial manifest and the shard
-    checkpoints, verifies digests, restores reducer state through the
-    ``to_state``/``from_state`` contract and regenerates only the missing
-    blocks — producing a manifest, payload bytes and statistics identical
-    to an uninterrupted run (the per-block ``SeedSequence.spawn`` contract
-    makes regenerated blocks byte-identical, and checkpoint cadence is a
-    run parameter so sketch compression points line up too).
+    so a killed export loses at most ``checkpoint_every`` blocks of work.
+    Each shard worker appends one ``FleetLeaseCheckpoint`` line per
+    checkpoint to its own ``checkpoint-SSSS.jsonl`` — the blocks since
+    its previous line plus the reducer state so far; the distributed
+    backend logs the same record once per lease.
+    :func:`resume_export` validates the partial manifest, reads the
+    shard logs (dropping a torn final line), verifies digests, restores
+    reducer state through the ``to_state``/``from_state`` contract and
+    regenerates only the missing blocks — producing a manifest, payload
+    bytes and statistics identical to an uninterrupted run (the
+    per-block ``SeedSequence.spawn`` contract makes regenerated blocks
+    byte-identical, and checkpoint cadence is a run parameter so sketch
+    compression points line up too).
     :func:`compact_export` merges a completed block layout back into the
     per-shard layout byte-identically (CSV).
 
@@ -46,13 +51,14 @@ is surfaced as ``fleet verify`` in the CLI.
 
 from __future__ import annotations
 
+import base64
 import datetime as _dt
 import hashlib
 import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -92,7 +98,7 @@ from repro.engine.table import (
     generator_schema,
 )
 from repro.hosts.population import RESOURCE_LABELS
-from repro.stats.state import StateError
+from repro.stats.state import StateError, make_envelope, require_state
 
 #: Manifest schema version.  Bump only on changes a version-1 reader of
 #: *this* module cannot tolerate; fields with dataclass defaults
@@ -630,19 +636,35 @@ def read_columnar_export(manifest_path: str) -> "tuple[FleetManifest, dict]":
 
 # -- resumable block-layout export ------------------------------------------
 #
-# The distributed backend reuses this layer's building blocks for its own
-# plan/checkpoint files (`distributed-plan.json` + the per-lease log):
-# `_write_json_atomic`, `_load_json`, `_remove_quiet`,
-# `_generator_fingerprint` and the `_read_matching_block` re-verification
-# all serve both resume paths, so the two crash-recovery formats cannot
-# drift in how they persist, validate, or distrust on-disk state.
+# Both resume paths — this block layout and the distributed backend — share
+# one on-disk protocol, so the two cannot drift in how they persist,
+# validate or distrust on-disk state:
+#
+# * a plan file pinning the run (`_build_plan`, read back by `_load_plan`);
+# * append-only checkpoint logs of `FleetLeaseCheckpoint` lines, one writer
+#   per file (`_append_checkpoint`, read back by `_read_checkpoint_log`,
+#   which re-verifies block files through `_read_matching_block`);
+# * one finaliser (`_finalise_blocks`) that writes the manifest and removes
+#   every plan and log (`_clear_resume_state`).
 
 #: The partial-manifest file a resumable export writes before any segment;
 #: its presence (without a final manifest) marks an interrupted run.
 PLAN_NAME = "manifest.partial.json"
 
-#: Schema version of plan and shard-checkpoint payloads.
+#: The distributed backend's plan file.  Named distinctly from
+#: :data:`PLAN_NAME` so :func:`resume_export` and
+#: ``resume_fleet_distributed`` cannot mistake one another's layouts.
+DISTRIBUTED_PLAN_NAME = "distributed-plan.json"
+
+#: The distributed coordinator's checkpoint log (one line per lease).
+DISTRIBUTED_LEASE_LOG = "distributed-leases.jsonl"
+
+#: Schema version of plan and checkpoint-line payloads.
 CHECKPOINT_STATE_VERSION = 1
+
+#: Envelope kinds of the block-layout plan and of every checkpoint line.
+EXPORT_PLAN_KIND = "FleetExportPlan"
+LEASE_CHECKPOINT_KIND = "FleetLeaseCheckpoint"
 
 
 @dataclass
@@ -661,12 +683,41 @@ class BlockExportResult:
     resumed_blocks: int
 
 
+@dataclass
+class _BlockRun:
+    """Blocks ``[lo, hi)`` of one checkpoint chain — a block-layout shard
+    or a distributed lease: their segment records, row digests and the
+    reducer state folded over exactly those blocks.  ``intact`` (restored
+    runs only) flags the records whose block files still verify."""
+
+    lo: int
+    hi: int
+    records: "list[SegmentRecord]"
+    digests: "list[tuple[int, bytes]]"
+    reducers: "ReducerSet | None"
+    intact: "list[bool] | None" = None
+
+
 def _block_name(index: int, fmt: str) -> str:
     return f"block-{index:06d}.{fmt}"
 
 
-def _checkpoint_name(shard: int) -> str:
-    return f"checkpoint-{shard:04d}.json"
+def _block_record(index, size, fmt, shard, sha256, nbytes) -> SegmentRecord:
+    return SegmentRecord(
+        path=_block_name(index, fmt),
+        shard=shard,
+        block_lo=index,
+        block_hi=index + 1,
+        row_lo=min(index * RNG_BLOCK_SIZE, size),
+        row_hi=min((index + 1) * RNG_BLOCK_SIZE, size),
+        sha256=sha256,
+        bytes=nbytes,
+    )
+
+
+def _shard_log(out_dir: str, shard: int) -> str:
+    """Path of a block-layout shard's checkpoint log."""
+    return os.path.join(out_dir, f"checkpoint-{shard:04d}.jsonl")
 
 
 def _write_json_atomic(
@@ -674,10 +725,9 @@ def _write_json_atomic(
 ) -> None:
     """Write JSON via a temp file + rename, so a kill never half-writes it.
 
-    ``fault_site`` marks the write as a *checkpoint* write: it becomes an
-    injection site, and the temp file is fsynced before the rename so a
-    checkpoint named durable actually is (plain plan/metrics writes skip
-    the barrier — losing one costs nothing a rerun doesn't fix).
+    ``fault_site`` makes the write an injection site and fsyncs the temp
+    file before the rename (plain plan/metrics writes skip the barrier —
+    losing one costs nothing a rerun doesn't fix).
     """
     tmp = path + ".tmp"
     data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
@@ -692,23 +742,25 @@ def _write_json_atomic(
     os.replace(tmp, path)
 
 
-def _load_json(path: str, kind: str) -> dict:
-    """Read a plan/checkpoint file, mapping any failure to a StateError."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise StateError(f"cannot read {kind} {path}: {error}")
-    if not isinstance(payload, dict):
-        raise StateError(f"{kind} {path} is not a JSON object")
-    return payload
-
-
 def _remove_quiet(path: str) -> None:
     try:
         os.remove(path)
     except OSError:
         pass
+
+
+def _clear_resume_state(out_dir: str) -> None:
+    """Remove every plan and checkpoint log of *both* resumable layouts.
+
+    A fresh export of either backend starts here and every finalised one
+    ends here, so no earlier run's state — whatever its backend or shard
+    count — can survive to hijack a later ``--resume``.
+    """
+    for name in os.listdir(out_dir):
+        if name in (PLAN_NAME, DISTRIBUTED_PLAN_NAME, DISTRIBUTED_LEASE_LOG) or (
+            name.startswith("checkpoint-") and name.endswith(".jsonl")
+        ):
+            _remove_quiet(os.path.join(out_dir, name))
 
 
 def describe_export_dir(out_dir: str) -> "str | None":
@@ -729,10 +781,7 @@ def describe_export_dir(out_dir: str) -> "str | None":
             "this looks like an interrupted resumable export — pass "
             "--resume to finish it, or --force to start over"
         )
-    # The distributed module owns this name; a literal here avoids
-    # importing the transport stack just to classify a directory
-    # (test_faults pins the two spellings together).
-    if "distributed-plan.json" in entries:
+    if DISTRIBUTED_PLAN_NAME in entries:
         return (
             "this looks like an interrupted distributed export — pass "
             "--backend distributed --resume to finish it, or --force to "
@@ -764,6 +813,280 @@ def _generator_fingerprint(generator) -> "str | None":
     if to_json is None:
         return None
     return hashlib.sha256(to_json().encode("utf-8")).hexdigest()
+
+
+def _wire_name(generator) -> str:
+    return getattr(generator, "wire_name", "CorrelatedHostGenerator")
+
+
+def _build_plan(
+    kind, generator, when, size, root, fmt, chunk_size, factories,
+    manifest_name, **grid,
+) -> dict:
+    """The plan envelope pinning a resumable run; ``grid`` carries the
+    layout's own scheduling fields (shards and checkpoint cadence, or
+    lease size and wire reducer arguments)."""
+    return make_envelope(
+        kind,
+        CHECKPOINT_STATE_VERSION,
+        {
+            "version": MANIFEST_VERSION,
+            "format": fmt,
+            "size": size,
+            "when": _when_as_float(when),
+            "entropy": str(root.entropy),
+            "spawn_key": [int(k) for k in root.spawn_key],
+            "block_size": RNG_BLOCK_SIZE,
+            "chunk_size": chunk_size,
+            "manifest_name": manifest_name,
+            "reducers": sorted(factories),
+            "generator": _wire_name(generator),
+            "generator_sha256": _generator_fingerprint(generator),
+            **grid,
+        },
+    )
+
+
+def _load_plan(
+    out_dir: str, name: str, kind: str, generator, formats, grid: dict
+) -> "tuple[dict, np.random.SeedSequence]":
+    """Read and validate a resumable export's plan: ``(plan, root seed)``.
+
+    The one plan check both resume paths share.  ``grid`` maps the
+    layout's extra integer fields to their minimums; everything else a
+    resume consumes blindly is checked here, so every corruption or
+    mismatch surfaces as a :class:`~repro.stats.state.StateError`.
+    """
+    path = os.path.join(out_dir, name)
+    if not os.path.exists(path):
+        raise StateError(
+            f"nothing to resume in {out_dir}: no {name} (not an interrupted "
+            "export of this layout, or it already finalised)"
+        )
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            plan = json.load(handle)
+    except (OSError, ValueError) as error:
+        raise StateError(f"cannot read export plan {path}: {error}")
+    if not isinstance(plan, dict):
+        raise StateError(f"export plan {path} is not a JSON object")
+    if plan.get("kind") != kind or (
+        plan.get("state_version") != CHECKPOINT_STATE_VERSION
+    ):
+        raise StateError(
+            f"export plan {path} has kind {plan.get('kind')!r} / "
+            f"state_version {plan.get('state_version')!r}; expected "
+            f"{kind} v{CHECKPOINT_STATE_VERSION}"
+        )
+    if plan.get("version") != MANIFEST_VERSION:
+        raise StateError(
+            f"export plan {path} targets manifest version "
+            f"{plan.get('version')!r}, not the supported {MANIFEST_VERSION}"
+        )
+    if plan.get("block_size") != RNG_BLOCK_SIZE:
+        raise StateError(
+            f"export plan {path} used RNG block size "
+            f"{plan.get('block_size')!r}; this build generates "
+            f"{RNG_BLOCK_SIZE} and cannot reproduce its blocks"
+        )
+    for field_name, minimum in {"size": 0, "chunk_size": 1, **grid}.items():
+        value = plan.get(field_name)
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise StateError(
+                f"export plan {path} field {field_name!r} must be an integer "
+                f">= {minimum}, got {value!r}"
+            )
+    if plan.get("format") not in formats:
+        raise StateError(
+            f"export plan {path} has unsupported format "
+            f"{plan.get('format')!r}; expected one of {formats}"
+        )
+    if not isinstance(plan.get("when"), (int, float)):
+        raise StateError(f"export plan {path} field 'when' is not numeric")
+    manifest_name = plan.get("manifest_name")
+    if not isinstance(manifest_name, str) or not manifest_name or (
+        os.path.basename(manifest_name) != manifest_name
+    ):
+        raise StateError(
+            f"export plan {path} has an invalid manifest_name {manifest_name!r}"
+        )
+    names = plan.get("reducers")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise StateError(f"export plan {path} field 'reducers' must be a name list")
+    if plan.get("generator", "CorrelatedHostGenerator") != _wire_name(generator):
+        raise StateError(
+            f"export plan {path} was built for generator "
+            f"{plan.get('generator')!r}; cannot resume it with "
+            f"{_wire_name(generator)!r}"
+        )
+    recorded, fingerprint = plan.get("generator_sha256"), _generator_fingerprint(
+        generator
+    )
+    if recorded != fingerprint:
+        raise StateError(
+            "generator parameters do not match the interrupted export (plan "
+            f"sha256 {recorded!r}, resuming generator {fingerprint!r}); pass "
+            "the same parameter set (--params) the original export used"
+        )
+    try:
+        root = np.random.SeedSequence(
+            entropy=int(plan["entropy"]),
+            spawn_key=tuple(int(k) for k in plan["spawn_key"]),
+        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise StateError(f"export plan {path} has an invalid seed: {error}")
+    return plan, root
+
+
+def _decode_block_entries(blocks, lo, hi, size, fmt="csv", shard=0, inline=False):
+    """Decode the ``{index, sha256, bytes, digest}`` entries of blocks
+    ``[lo, hi)`` into ``(segment records, row digests, inline writes)``.
+
+    Shared by live lease results (``inline=True``: remote workers ship the
+    block bytes as base64 ``data``) and checkpoint lines.  Entries must
+    list each block exactly once, in order; any malformed piece raises
+    :class:`ValueError` (or the ``TypeError``/``KeyError`` decoding hits).
+    """
+    if not isinstance(blocks, list) or len(blocks) != hi - lo:
+        raise ValueError(f"expected exactly {hi - lo} block entries")
+    records: "list[SegmentRecord]" = []
+    digests: "list[tuple[int, bytes]]" = []
+    writes: "list[tuple[int, bytes]]" = []
+    for position, raw in enumerate(blocks):
+        index = lo + position
+        if not isinstance(raw, dict) or raw.get("index") != index:
+            raise ValueError(f"block entry {position} is not block {index}")
+        digest = bytes.fromhex(raw["digest"])
+        sha, nbytes = raw["sha256"], raw["bytes"]
+        if not isinstance(sha, str) or len(bytes.fromhex(sha)) != 32:
+            raise ValueError(f"block {index} sha256 is malformed")
+        if not isinstance(nbytes, int) or isinstance(nbytes, bool) or nbytes < 0:
+            raise ValueError(f"block {index} byte count is malformed")
+        if inline:
+            data = base64.b64decode(raw["data"], validate=True)
+            if hashlib.sha256(data).hexdigest() != sha or len(data) != nbytes:
+                raise ValueError(f"block {index} inline data does not match its digest")
+            writes.append((index, data))
+        records.append(_block_record(index, size, fmt, shard, sha, nbytes))
+        digests.append((index, digest))
+    return records, digests, writes
+
+
+def _append_checkpoint(handle, site, state_lo, records, digests, reducers) -> None:
+    """Append one ``FleetLeaseCheckpoint`` line to a checkpoint log.
+
+    The line carries ``records`` (the blocks since the log's previous line
+    of this chain, or one whole lease) and the reducer state folded over
+    ``[state_lo, last block]``, so checkpoint cost is linear in block
+    count.  ``handle`` is the log opened ``"ab"`` by its only writer.
+    ``site`` fires first (a torn write tears only this line), then the
+    line is written and flushed, ``writer.checkpoint.fsync`` fires and the
+    line is fsynced — a checkpoint once reported is durable.
+    """
+    payload = make_envelope(
+        LEASE_CHECKPOINT_KIND,
+        CHECKPOINT_STATE_VERSION,
+        {
+            "state_lo": state_lo,
+            "block_lo": records[0].block_lo,
+            "block_hi": records[-1].block_hi,
+            "blocks": [
+                {
+                    "index": record.block_lo,
+                    "sha256": record.sha256,
+                    "bytes": record.bytes,
+                    "digest": digest.hex(),
+                }
+                for record, (_, digest) in zip(records, digests)
+            ],
+            "reducers": reducers.to_state(),
+        },
+    )
+    line = (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
+    _fire(site, path=handle.name, data=line, append=True)
+    handle.write(line)
+    handle.flush()
+    _fire(SITE_CHECKPOINT_FSYNC)
+    os.fsync(handle.fileno())
+
+
+def _read_checkpoint_log(path, grid, factories, size, fmt) -> "dict[int, _BlockRun]":
+    """The checkpoint chains a log restores, keyed by where each starts.
+
+    ``grid`` maps every chain start the plan allows to ``(end, shard)``.
+    A line carries blocks ``[block_lo, block_hi)`` and the reducer state
+    over ``[state_lo, block_hi)``: with ``block_lo == state_lo`` it starts
+    its chain afresh (a re-run lease), otherwise it must continue its
+    chain exactly.  A torn final line (no newline: the writer died
+    mid-append) is dropped *and trimmed off the file*, so later appends
+    continue a well-formed log; any other malformed line raises
+    :class:`StateError`.  Only each chain's last reducer state is
+    restored, and every block file is re-verified against its record
+    (:func:`_read_matching_block`) into ``intact``.
+    """
+    runs: "dict[int, _BlockRun]" = {}
+    if not os.path.exists(path):
+        return runs
+    with open(path, "rb") as handle:
+        lines = handle.readlines()
+    if lines and not lines[-1].endswith(b"\n"):
+        os.truncate(path, sum(len(line) for line in lines[:-1]))
+        lines.pop()
+    states: "dict[int, dict]" = {}
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"checkpoint line {number} of {path}"
+        try:
+            payload = json.loads(line)
+        except ValueError:
+            raise StateError(f"{where} is not valid JSON")
+        try:
+            require_state(payload, LEASE_CHECKPOINT_KIND, CHECKPOINT_STATE_VERSION)
+            state_lo, lo, hi = (
+                payload.get(key) for key in ("state_lo", "block_lo", "block_hi")
+            )
+            end, shard = grid.get(state_lo, (-1, 0))
+            if not all(type(v) is int for v in (state_lo, lo, hi)) or not (
+                state_lo <= lo < hi <= end
+            ):
+                raise StateError(
+                    f"blocks [{lo}, {hi}) from state_lo {state_lo} do not "
+                    "match the plan's grid"
+                )
+            run = runs.get(state_lo)
+            if lo != state_lo and (run is None or run.hi != lo):
+                raise StateError(
+                    f"blocks [{lo}, {hi}) do not continue the chain checkpointed "
+                    f"up to block {state_lo if run is None else run.hi}"
+                )
+            records, digests, _ = _decode_block_entries(
+                payload.get("blocks"), lo, hi, size, fmt, shard
+            )
+            if not isinstance(payload.get("reducers"), dict):
+                raise StateError("it carries no serialized reducer state")
+        except (ValueError, TypeError, KeyError) as error:
+            raise StateError(f"{where} is malformed: {error}")
+        if lo == state_lo:
+            runs[state_lo] = _BlockRun(lo, hi, records, digests, None)
+        else:
+            run.hi = hi
+            run.records += records
+            run.digests += digests
+        states[state_lo] = payload["reducers"]
+    base = os.path.dirname(path)
+    for state_lo, run in runs.items():
+        run.reducers = ReducerSet.from_state(states[state_lo])
+        if set(run.reducers.names()) != set(factories):
+            raise StateError(
+                f"checkpoint log {path} reducers {sorted(run.reducers.names())} "
+                f"do not match the plan's {sorted(factories)}"
+            )
+        run.intact = [
+            _read_matching_block(os.path.join(base, record.path), record) is not None
+            for record in run.records
+        ]
+    return runs
 
 
 def _write_block_file(path: str, block, fmt: str) -> "tuple[str, int, bytes]":
@@ -815,9 +1138,7 @@ def _read_matching_block(path: str, record: SegmentRecord) -> "bytes | None":
     matches its segment record (missing, resized or hash-flipped).
 
     Blocks are bounded at :data:`~repro.engine.streaming.RNG_BLOCK_SIZE`
-    rows, so reading one whole is cheap — and returning the verified bytes
-    lets the resuming worker fold them straight into its running payload
-    hash instead of hashing the file a second time.
+    rows, so reading one whole is cheap.
     """
     if not os.path.exists(path):
         return None
@@ -841,17 +1162,19 @@ def _write_block_shard(payload: tuple):
     """Worker: write blocks ``[block_lo, block_hi)`` as per-block segments.
 
     Reduces every block into the shard's :class:`ReducerSet` and, every
-    ``checkpoint_every`` blocks (and at the end of the range), atomically
-    writes a checkpoint carrying the completed segment records, the block
-    digests and the serialized reducer state.  A restart from that
-    checkpoint continues bit-identically: the reducer state round-trips
+    ``checkpoint_every`` blocks (and at the end of the range), appends a
+    line to the shard's checkpoint log carrying the blocks written since
+    the previous line and the serialized reducer state so far.  A restart
+    from that log continues bit-identically: the reducer state round-trips
     exactly, and regenerated blocks are byte-identical by the
     ``SeedSequence.spawn`` contract.
 
-    ``checkpoint`` (when resuming) must describe this exact shard range;
-    recorded block files are re-verified against their digests and — being
-    deterministic — simply rewritten if missing or corrupt, without
-    touching the restored reducer state.
+    ``restored`` (when resuming) is this shard's chain as
+    :func:`_read_checkpoint_log` restored it; block files that no longer
+    verify are — being deterministic — rewritten in place after a
+    row-digest check, without touching the restored reducer state.
+    Returns ``(shard, run, restored blocks, running payload sha256 of the
+    blocks written here)``.
     """
     (
         generator,
@@ -866,50 +1189,38 @@ def _write_block_shard(payload: tuple):
         checkpoint_every,
         chunk_size,
         factories,
-        checkpoint,
+        restored,
     ) = payload
     seeds = block_seeds(root, size)
-    reducers = ReducerSet.from_factories(factories)
-    records: "list[SegmentRecord]" = []
-    digests: "list[tuple[int, bytes]]" = []
-    # Runs alongside the writes: sha256 over this shard's block bytes in
-    # block order.  For a single-shard run this *is* the manifest's
-    # payload digest, so the parent never re-reads the segments.
+    run = restored or _BlockRun(
+        block_lo, block_lo, [], [], ReducerSet.from_factories(factories)
+    )
+    for position, intact in enumerate(run.intact or ()):
+        if intact:
+            continue
+        record = run.records[position]
+        block = _generate_block(generator, when, size, seeds, record.block_lo)
+        # Regeneration must reproduce the checkpointed rows exactly;
+        # failing fast here beats finishing an expensive resume whose
+        # manifest then fails `fleet verify`.  The row digest is
+        # format-independent, so it guards npz rewrites too.
+        if population_digest(block) != run.digests[position][1].hex():
+            raise StateError(
+                f"regenerated {record.path} does not reproduce its "
+                f"checkpointed row digest; the resume environment "
+                "generates a different fleet than the interrupted run"
+            )
+        sha, nbytes, _ = _write_block_file(
+            os.path.join(out_dir, record.path), block, fmt
+        )
+        # Same rows, but the *file* may differ for npz (zip metadata is
+        # not byte-stable) — record what is on disk.
+        run.records[position] = replace(record, sha256=sha, bytes=nbytes)
+    restored_blocks = len(run.records)
+    # Runs alongside the writes: sha256 over the block bytes written here,
+    # in block order.  For an uninterrupted single-shard run this *is* the
+    # manifest's payload digest, so the parent never re-reads the segments.
     shard_payload = hashlib.sha256()
-    start = block_lo
-    restored = 0
-
-    if checkpoint is not None:
-        reducers = ReducerSet.from_state(checkpoint["reducers"])
-        for record_payload, digest in zip(
-            checkpoint["segments"], checkpoint["digests"]
-        ):
-            record = SegmentRecord(**record_payload)
-            path = os.path.join(out_dir, record.path)
-            data = _read_matching_block(path, record)
-            if data is None:
-                block = _generate_block(generator, when, size, seeds, record.block_lo)
-                # Regeneration must reproduce the checkpointed rows exactly;
-                # failing fast here beats finishing an expensive resume
-                # whose manifest then fails `fleet verify`.  The row digest
-                # is format-independent, so it guards npz rewrites too.
-                if population_digest(block) != digest:
-                    raise StateError(
-                        f"regenerated {record.path} does not reproduce its "
-                        f"checkpointed row digest; the resume environment "
-                        "generates a different fleet than the interrupted run"
-                    )
-                sha, nbytes, data = _write_block_file(path, block, fmt)
-                # Same rows, but the *file* may differ for npz (zip
-                # metadata is not byte-stable) — record what is on disk.
-                record = SegmentRecord(
-                    **{**asdict(record), "sha256": sha, "bytes": nbytes}
-                )
-            shard_payload.update(data)
-            records.append(record)
-            digests.append((record.block_lo, bytes.fromhex(digest)))
-        start = block_lo + len(records)
-        restored = len(records)
 
     # Reducer updates are batched through the shared ChunkedFold (the same
     # accumulation the statistics fan-out uses).  Flush points are a
@@ -917,53 +1228,37 @@ def _write_block_shard(payload: tuple):
     # boundary flushes, and between boundaries the batch grows by fixed
     # block sizes — so an uninterrupted run and a resumed run fold
     # identical chunks and stay bit-identical.
-    fold = ChunkedFold(reducers, chunk_size)
-
-    def write_checkpoint() -> None:
-        fold.flush()
-        _write_json_atomic(
-            os.path.join(out_dir, _checkpoint_name(shard)),
-            fault_site=SITE_CHECKPOINT_WRITE,
-            payload={
-                "kind": "FleetShardCheckpoint",
-                "state_version": CHECKPOINT_STATE_VERSION,
-                "shard": shard,
-                "block_lo": block_lo,
-                "block_hi": block_hi,
-                "blocks_done": len(records),
-                "segments": [asdict(record) for record in records],
-                "digests": [digest.hex() for _, digest in digests],
-                "reducers": reducers.to_state(),
-            },
-        )
-
-    for index in range(start, block_hi):
-        block = _generate_block(generator, when, size, seeds, index)
-        name = _block_name(index, fmt)
-        sha, nbytes, data = _write_block_file(os.path.join(out_dir, name), block, fmt)
-        shard_payload.update(data)
-        records.append(
-            SegmentRecord(
-                path=name,
-                shard=shard,
-                block_lo=index,
-                block_hi=index + 1,
-                row_lo=min(index * RNG_BLOCK_SIZE, size),
-                row_hi=min((index + 1) * RNG_BLOCK_SIZE, size),
-                sha256=sha,
-                bytes=nbytes,
+    fold = ChunkedFold(run.reducers, chunk_size)
+    log = open(_shard_log(out_dir, shard), "ab") if checkpoint_every else None
+    logged = len(run.records)
+    try:
+        for index in range(run.hi, block_hi):
+            block = _generate_block(generator, when, size, seeds, index)
+            name = _block_name(index, fmt)
+            sha, nbytes, data = _write_block_file(
+                os.path.join(out_dir, name), block, fmt
             )
-        )
-        digests.append((index, bytes.fromhex(population_digest(block))))
-        fold.add(block)
-        done = index + 1 - block_lo
-        if checkpoint_every and (
-            done % checkpoint_every == 0 or index + 1 == block_hi
-        ):
-            write_checkpoint()
-        _fire(SITE_BLOCK_DONE)
+            shard_payload.update(data)
+            run.records.append(_block_record(index, size, fmt, shard, sha, nbytes))
+            run.digests.append((index, bytes.fromhex(population_digest(block))))
+            run.hi = index + 1
+            fold.add(block)
+            done = index + 1 - block_lo
+            if log is not None and (
+                done % checkpoint_every == 0 or index + 1 == block_hi
+            ):
+                fold.flush()
+                _append_checkpoint(
+                    log, SITE_CHECKPOINT_WRITE, block_lo, run.records[logged:],
+                    run.digests[logged:], run.reducers,
+                )
+                logged = len(run.records)
+            _fire(SITE_BLOCK_DONE)
+    finally:
+        if log is not None:
+            log.close()
     fold.flush()
-    return shard, records, reducers, digests, restored, shard_payload.hexdigest()
+    return shard, run, restored_blocks, shard_payload.hexdigest()
 
 
 def export_fleet_blocks(
@@ -984,15 +1279,15 @@ def export_fleet_blocks(
     """Export a fleet as per-block segments with reducer checkpoints.
 
     The resumable counterpart of :func:`export_fleet`: every RNG block
-    becomes its own segment file, each shard worker checkpoints its
-    serialized reducer state every ``checkpoint_every`` blocks, and a
-    partial manifest (:data:`PLAN_NAME`) pins the run parameters so
-    :func:`resume_export` can finish an interrupted run with identical
-    manifest digests and statistics.  ``checkpoint_every`` and
-    ``chunk_size`` are part of the run's determinism envelope (sketch
-    compression happens at checkpoint points, reducer folds at
-    chunk-size/checkpoint flush boundaries), so resume reuses the
-    original values from the plan.
+    becomes its own segment file, each shard worker appends its
+    serialized reducer state to its checkpoint log every
+    ``checkpoint_every`` blocks, and a partial manifest
+    (:data:`PLAN_NAME`) pins the run parameters so :func:`resume_export`
+    can finish an interrupted run with identical manifest digests and
+    statistics.  ``checkpoint_every`` and ``chunk_size`` are part of the
+    run's determinism envelope (sketch compression happens at checkpoint
+    points, reducer folds at chunk-size/checkpoint flush boundaries), so
+    resume reuses the original values from the plan.
 
     Unlike the shard layout, this path *reduces while it writes* — the
     returned :class:`BlockExportResult` carries the run's
@@ -1000,7 +1295,7 @@ def export_fleet_blocks(
     moments + correlation; plug in ``reducers``/``quantiles`` as in
     :func:`~repro.engine.sharding.generate_sharded`).
 
-    On success the checkpoints and partial manifest are removed; the
+    On success the checkpoint logs and partial manifest are removed; the
     final manifest has ``layout="block"`` and verifies with
     :func:`verify_manifest` exactly like a shard-layout export.
     """
@@ -1035,33 +1330,17 @@ def export_fleet_blocks(
                 f"this reducer set cannot be checkpointed: {error}; pass "
                 "checkpoint_every=0 or use state-restorable reducers"
             )
-    ranges = shard_block_ranges(block_count(size), shards)
-    plan = {
-        "kind": "FleetExportPlan",
-        "state_version": CHECKPOINT_STATE_VERSION,
-        "version": MANIFEST_VERSION,
-        "format": fmt,
-        "size": size,
-        "when": _when_as_float(when),
-        "entropy": str(root.entropy),
-        "spawn_key": [int(k) for k in root.spawn_key],
-        "shards": len(ranges),
-        "block_size": RNG_BLOCK_SIZE,
-        "checkpoint_every": checkpoint_every,
-        "chunk_size": chunk_size,
-        "manifest_name": manifest_name,
-        "reducers": sorted(factories),
-        "generator_sha256": _generator_fingerprint(generator),
-    }
-    # A fresh export invalidates any previous run's checkpoints in this
-    # directory — remove them so a later resume cannot mix runs.
-    for shard in range(len(ranges)):
-        _remove_quiet(os.path.join(out_dir, _checkpoint_name(shard)))
-    _write_json_atomic(os.path.join(out_dir, PLAN_NAME), plan)
-    return _run_block_export(
-        generator, plan, ranges, root, out_dir, factories,
-        [None] * len(ranges), start_method,
+    plan = _build_plan(
+        EXPORT_PLAN_KIND, generator, when, size, root, fmt, chunk_size,
+        factories, manifest_name,
+        shards=len(shard_block_ranges(block_count(size), shards)),
+        checkpoint_every=checkpoint_every,
     )
+    # A fresh export invalidates every earlier run's resume state in this
+    # directory, whatever its backend — so a later resume cannot mix runs.
+    _clear_resume_state(out_dir)
+    _write_json_atomic(os.path.join(out_dir, PLAN_NAME), plan)
+    return _run_block_export(generator, plan, root, out_dir, factories, {}, start_method)
 
 
 def resume_export(
@@ -1074,10 +1353,10 @@ def resume_export(
 ) -> BlockExportResult:
     """Finish an interrupted block-layout export.
 
-    Scans the partial manifest (:data:`PLAN_NAME`) and the per-shard
-    checkpoints, validates their schema versions, verifies the digests of
-    every checkpointed block file, restores reducer state through
-    ``from_state`` and regenerates only the blocks the interrupted run
+    Validates the partial manifest (:data:`PLAN_NAME`), restores each
+    shard's checkpoint chain from its log — re-verifying every
+    checkpointed block file and restoring reducer state through
+    ``from_state`` — and regenerates only the blocks the interrupted run
     never checkpointed.  The finished manifest, payload bytes and reduced
     statistics are identical to an uninterrupted
     :func:`export_fleet_blocks` run of the same parameters.
@@ -1089,261 +1368,150 @@ def resume_export(
     export already finished, returns its manifest with ``statistics=None``.
     """
     manifest_path = os.path.join(out_dir, manifest_name)
-    plan_path = os.path.join(out_dir, PLAN_NAME)
-    if not os.path.exists(plan_path):
-        if os.path.exists(manifest_path):
-            try:
-                manifest = FleetManifest.load(manifest_path)
-            except (OSError, KeyError, TypeError, ValueError) as error:
-                raise StateError(
-                    f"cannot read manifest {manifest_path}: {error}"
-                )
-            return BlockExportResult(
-                manifest=manifest, statistics=None, resumed_blocks=0
-            )
-        raise StateError(
-            f"nothing to resume in {out_dir}: no {PLAN_NAME} (and no "
-            f"{manifest_name}) found"
-        )
-    plan = _load_json(plan_path, "export plan")
-    if plan.get("kind") != "FleetExportPlan" or (
-        plan.get("state_version") != CHECKPOINT_STATE_VERSION
+    if not os.path.exists(os.path.join(out_dir, PLAN_NAME)) and os.path.exists(
+        manifest_path
     ):
-        raise StateError(
-            f"export plan {plan_path} has kind {plan.get('kind')!r} / "
-            f"state_version {plan.get('state_version')!r}; expected "
-            f"FleetExportPlan v{CHECKPOINT_STATE_VERSION}"
-        )
-    if plan.get("version") != MANIFEST_VERSION:
-        raise StateError(
-            f"export plan {plan_path} targets manifest version "
-            f"{plan.get('version')!r}, not the supported {MANIFEST_VERSION}"
-        )
-    if plan.get("block_size") != RNG_BLOCK_SIZE:
-        raise StateError(
-            f"export plan {plan_path} used RNG block size "
-            f"{plan.get('block_size')!r}; this build generates "
-            f"{RNG_BLOCK_SIZE} and cannot reproduce its blocks"
-        )
-    def _plan_int(name: str, minimum: int) -> int:
-        value = plan.get(name)
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-            raise StateError(
-                f"export plan {plan_path} field {name!r} must be an integer "
-                f">= {minimum}, got {value!r}"
-            )
-        return value
-
-    size = _plan_int("size", 0)
-    shards = _plan_int("shards", 1)
-    _plan_int("checkpoint_every", 0)
-    _plan_int("chunk_size", 1)
-    if plan.get("format") not in FORMATS:
-        raise StateError(
-            f"export plan {plan_path} has unknown format "
-            f"{plan.get('format')!r}; supported: {FORMATS}"
-        )
-    if not isinstance(plan.get("when"), (int, float)):
-        raise StateError(f"export plan {plan_path} field 'when' is not numeric")
-    name = plan.get("manifest_name")
-    if not isinstance(name, str) or os.path.basename(name) != name:
-        raise StateError(
-            f"export plan {plan_path} has an invalid manifest_name {name!r}"
-        )
+        try:
+            manifest = FleetManifest.load(manifest_path)
+        except (OSError, KeyError, TypeError, ValueError) as error:
+            raise StateError(f"cannot read manifest {manifest_path}: {error}")
+        return BlockExportResult(manifest=manifest, statistics=None, resumed_blocks=0)
+    plan, root = _load_plan(
+        out_dir, PLAN_NAME, EXPORT_PLAN_KIND, generator, ROW_SEGMENT_FORMATS,
+        {"shards": 1, "checkpoint_every": 0},
+    )
     factories = _resolve_factories(reducers, quantiles)
-    if sorted(factories) != plan.get("reducers"):
+    if sorted(factories) != plan["reducers"]:
         raise StateError(
             f"resume carries reducers {sorted(factories)} but the "
-            f"interrupted run used {plan.get('reducers')}; pass the same "
+            f"interrupted run used {plan['reducers']}; pass the same "
             "reducer set to resume_export"
         )
-    fingerprint = _generator_fingerprint(generator)
-    recorded = plan.get("generator_sha256")
-    if recorded is not None and fingerprint is not None and fingerprint != recorded:
-        raise StateError(
-            f"resume generator parameters (sha256 {fingerprint[:12]}…) differ "
-            f"from the interrupted run's ({str(recorded)[:12]}…); pass the "
-            "same parameter set (--params) used by the original export"
+    restored: "dict[int, _BlockRun]" = {}
+    for shard, (lo, hi) in enumerate(
+        shard_block_ranges(block_count(plan["size"]), plan["shards"])
+    ):
+        restored.update(
+            _read_checkpoint_log(
+                _shard_log(out_dir, shard), {lo: (hi, shard)}, factories,
+                plan["size"], plan["format"],
+            )
         )
-    try:
-        root = np.random.SeedSequence(
-            entropy=int(plan["entropy"]),
-            spawn_key=tuple(int(k) for k in plan["spawn_key"]),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise StateError(f"export plan {plan_path} has an invalid seed: {error}")
-    ranges = shard_block_ranges(block_count(size), shards)
-    checkpoints: "list[dict | None]" = []
-    for shard, (lo, hi) in enumerate(ranges):
-        path = os.path.join(out_dir, _checkpoint_name(shard))
-        if not os.path.exists(path):
-            checkpoints.append(None)
-            continue
-        checkpoint = _load_json(path, "checkpoint")
-        if checkpoint.get("kind") != "FleetShardCheckpoint" or (
-            checkpoint.get("state_version") != CHECKPOINT_STATE_VERSION
-        ):
-            raise StateError(
-                f"checkpoint {path} has kind {checkpoint.get('kind')!r} / "
-                f"state_version {checkpoint.get('state_version')!r}; expected "
-                f"FleetShardCheckpoint v{CHECKPOINT_STATE_VERSION}"
-            )
-        done = checkpoint.get("blocks_done")
-        segments = checkpoint.get("segments")
-        digests = checkpoint.get("digests")
-        if (
-            checkpoint.get("shard") != shard
-            or checkpoint.get("block_lo") != lo
-            or checkpoint.get("block_hi") != hi
-            or not isinstance(done, int)
-            or not isinstance(segments, list)
-            or not isinstance(digests, list)
-            or not 0 <= done <= hi - lo
-            or len(segments) != done
-            or len(digests) != done
-        ):
-            raise StateError(
-                f"checkpoint {path} does not describe shard {shard} blocks "
-                f"[{lo}, {hi}) of this plan"
-            )
-        if not isinstance(checkpoint.get("reducers"), dict):
-            raise StateError(
-                f"checkpoint {path} is missing its serialized reducer state"
-            )
-        # Validate the pieces the worker will consume blindly, so every
-        # corruption mode surfaces as the documented StateError (not a
-        # KeyError/TypeError escaping through the pool).
-        for position, (entry, digest) in enumerate(zip(segments, digests)):
-            if not isinstance(digest, str):
-                raise StateError(f"checkpoint {path} has a non-string digest")
-            try:
-                bytes.fromhex(digest)
-            except ValueError:
-                raise StateError(
-                    f"checkpoint {path} has a malformed block digest {digest!r}"
-                )
-            if not isinstance(entry, dict):
-                raise StateError(f"checkpoint {path} has a malformed segment")
-            try:
-                record = SegmentRecord(**entry)
-            except TypeError as error:
-                raise StateError(
-                    f"checkpoint {path} has a malformed segment record: {error}"
-                )
-            # Blocks are written strictly in order, so the checkpoint's
-            # i-th record must be block lo+i exactly — a duplicated or
-            # shuffled record would otherwise splice the wrong rows into a
-            # manifest that still verifies.
-            if (
-                not isinstance(record.path, str)
-                or os.path.basename(record.path) != record.path
-                or record.block_lo != lo + position
-                or record.block_hi != lo + position + 1
-            ):
-                raise StateError(
-                    f"checkpoint {path} segment {record.path!r} is not "
-                    f"block {lo + position} of shard {shard} (blocks "
-                    f"[{lo}, {hi}) in order)"
-                )
-        checkpoints.append(checkpoint)
     return _run_block_export(
-        generator, plan, ranges, root, out_dir, factories, checkpoints,
-        start_method,
+        generator, plan, root, out_dir, factories, restored, start_method
     )
 
 
 def _run_block_export(
-    generator, plan, ranges, root, out_dir, factories, checkpoints,
-    start_method=None,
+    generator, plan, root, out_dir, factories, restored, start_method=None
 ) -> BlockExportResult:
-    """Drive the shard workers and finalise a block-layout manifest."""
-    fmt, size, when = plan["format"], plan["size"], plan["when"]
+    """Drive the shard workers, then finalise the block-layout manifest."""
+    ranges = shard_block_ranges(block_count(plan["size"]), plan["shards"])
     payloads = [
         (
             generator,
-            when,
-            size,
+            plan["when"],
+            plan["size"],
             root,
             shard,
             lo,
             hi,
-            fmt,
+            plan["format"],
             out_dir,
             plan["checkpoint_every"],
-            plan.get("chunk_size", DEFAULT_CHUNK_SIZE),
+            plan["chunk_size"],
             factories,
-            checkpoints[shard],
+            restored.get(lo),
         )
         for shard, (lo, hi) in enumerate(ranges)
     ]
 
     start = time.perf_counter()
-    in_process = len(payloads) == 1
-    if in_process:
+    if len(payloads) == 1:
         results = [_write_block_shard(payloads[0])]
     else:
         results = pool_map(
             _write_block_shard, payloads, len(payloads), start_method
         )
     elapsed = time.perf_counter() - start
-
-    results.sort(key=lambda item: item[0])
-    merged = ReducerSet.from_factories(factories)
-    segments: "list[SegmentRecord]" = []
-    all_digests: "list[tuple[int, bytes]]" = []
-    resumed = 0
-    for _, shard_records, shard_reducers, shard_digests, restored, _ in results:
-        merged.merge(shard_reducers)
-        segments.extend(shard_records)
-        all_digests.extend(shard_digests)
-        resumed += restored
-    segments.sort(key=lambda record: record.block_lo)
-
-    # A single shard's running payload digest covers the whole export;
-    # only a multi-shard run needs the verify-style re-read (one sha256
-    # cannot be stitched from per-worker digests).
-    if in_process:
-        payload_sha256 = results[0][5]
-    else:
-        payload_hash = hashlib.sha256()
-        for record in segments:
-            _hash_file_into(os.path.join(out_dir, record.path), payload_hash)
-        payload_sha256 = payload_hash.hexdigest()
-
-    manifest = FleetManifest(
-        version=plan["version"],
-        format=fmt,
-        size=size,
-        when=when,
-        entropy=plan["entropy"],
-        spawn_key=tuple(int(k) for k in plan["spawn_key"]),
-        shards=len(ranges),
-        block_size=plan["block_size"],
-        header=generator_schema(generator).csv_header if fmt == "csv" else "",
-        payload_sha256=payload_sha256,
-        fleet_sha256=combine_block_digests(all_digests),
-        segments=tuple(segments),
-        layout="block",
-        checkpoint_every=plan["checkpoint_every"],
-    )
-    manifest.save(os.path.join(out_dir, plan["manifest_name"]))
-    # Finalised: the plan and checkpoints are now redundant (and would
-    # otherwise mark the directory as an interrupted run).
-    for shard in range(len(ranges)):
-        _remove_quiet(os.path.join(out_dir, _checkpoint_name(shard)))
-    _remove_quiet(os.path.join(out_dir, PLAN_NAME))
-
-    statistics = FleetStatistics(
-        size=size,
-        when=when,
-        shards=len(ranges),
-        reducers=merged,
-        elapsed_seconds=elapsed,
-        digest=manifest.fleet_sha256,
+    resumed = sum(result[2] for result in results)
+    # An uninterrupted single shard's running digest covers the whole
+    # export; otherwise the finaliser re-reads the segments (one sha256
+    # cannot be stitched from per-worker or pre-crash digests).
+    manifest, statistics = _finalise_blocks(
+        generator, plan, out_dir, factories, [result[1] for result in results],
+        elapsed, len(ranges),
+        payload_sha256=results[0][3] if len(results) == 1 and not resumed else None,
     )
     return BlockExportResult(
         manifest=manifest, statistics=statistics, resumed_blocks=resumed
     )
+
+
+def _finalise_blocks(
+    generator, plan, out_dir, factories, runs, elapsed, shards,
+    payload_sha256=None, check_files=False,
+) -> "tuple[FleetManifest, FleetStatistics]":
+    """End a block-layout export of either backend.
+
+    Merges the runs' records, digests and reducer states in block order,
+    computes the payload digest (re-reading the segments unless the
+    caller hashed them as they were written; ``check_files`` also holds
+    each file to its recorded sha256), writes the ``layout="block"``
+    manifest, removes every plan and checkpoint log, and returns the
+    manifest with the run's :class:`FleetStatistics`.
+    """
+    merged = ReducerSet.from_factories(factories)
+    records: "list[SegmentRecord]" = []
+    digests: "list[tuple[int, bytes]]" = []
+    for run in sorted(runs, key=lambda run: run.lo):
+        merged.merge(run.reducers)
+        records += run.records
+        digests += run.digests
+    if payload_sha256 is None:
+        payload_hash = hashlib.sha256()
+        for record in records:
+            file_hash = hashlib.sha256()
+            _hash_file_into(
+                os.path.join(out_dir, record.path),
+                payload_hash, *((file_hash,) if check_files else ()),
+            )
+            if check_files and file_hash.hexdigest() != record.sha256:
+                raise RuntimeError(
+                    f"segment {record.path} on disk does not match the digest "
+                    "its worker reported; refusing to finalise a corrupt export"
+                )
+        payload_sha256 = payload_hash.hexdigest()
+    fmt, size = plan["format"], plan["size"]
+    manifest = FleetManifest(
+        version=plan["version"],
+        format=fmt,
+        size=size,
+        when=plan["when"],
+        entropy=plan["entropy"],
+        spawn_key=tuple(int(k) for k in plan["spawn_key"]),
+        shards=plan.get("shards", 1),
+        block_size=plan["block_size"],
+        header=generator_schema(generator).csv_header if fmt == "csv" else "",
+        payload_sha256=payload_sha256,
+        fleet_sha256=combine_block_digests(digests),
+        segments=tuple(records),
+        layout="block",
+        checkpoint_every=plan.get("checkpoint_every", 0),
+    )
+    manifest.save(os.path.join(out_dir, plan["manifest_name"]))
+    # Finalised: the plan and logs are now redundant (and would otherwise
+    # mark the directory as an interrupted run).
+    _clear_resume_state(out_dir)
+    statistics = FleetStatistics(
+        size=size,
+        when=plan["when"],
+        shards=shards,
+        reducers=merged,
+        elapsed_seconds=elapsed,
+        digest=manifest.fleet_sha256,
+    )
+    return manifest, statistics
 
 
 def compact_export(

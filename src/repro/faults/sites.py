@@ -137,13 +137,13 @@ _SITES = (
         SITE_CHECKPOINT_WRITE,
         "repro.engine.writer",
         (KIND_IO_ERROR, KIND_TORN_WRITE, KIND_RAISE, KIND_SIGKILL, KIND_DELAY),
-        "a shard reducer-state checkpoint write (temp file, pre-rename)",
+        "a block-layout checkpoint line append (torn-write tears only that line)",
     ),
     FaultSite(
         SITE_CHECKPOINT_FSYNC,
         "repro.engine.writer",
         (KIND_FSYNC_ERROR, KIND_DELAY),
-        "the fsync barrier before a checkpoint rename",
+        "the fsync barrier after any checkpoint line append (both backends)",
     ),
     FaultSite(
         SITE_MANIFEST_WRITE,

@@ -43,6 +43,7 @@ from repro.engine import (
     fleet_digest,
     parse_endpoint,
     resolve_fleet_token,
+    resume_export,
     resume_fleet_distributed,
     serve_worker,
     verify_manifest,
@@ -1159,6 +1160,60 @@ def _coordinator_crash_main(out_dir):
 
 
 @pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not os.path.isdir("/proc/self/fd"),
+    reason="needs the fork start method and /proc/<pid>/fd",
+)
+def test_forked_workers_do_not_inherit_the_lease_log(
+    tmp_path, fault_plan, paper_generator, monkeypatch
+):
+    """An armed plan keeps raw forked workers; none may hold the log open."""
+    import repro.engine.distributed as distributed
+
+    out = tmp_path / "out"
+    log = str(out / DISTRIBUTED_LEASE_LOG)
+    inspected, leaks = set(), set()
+    real = distributed._append_checkpoint
+
+    def inspecting(*args):
+        for child in multiprocessing.active_children():
+            fd_dir = f"/proc/{child.pid}/fd"
+            for fd in os.listdir(fd_dir):
+                try:
+                    if os.readlink(os.path.join(fd_dir, fd)) == log:
+                        leaks.add(child.pid)
+                except OSError:
+                    pass
+            inspected.add(child.pid)
+        return real(*args)
+
+    monkeypatch.setattr(distributed, "_append_checkpoint", inspecting)
+    with fault_plan("distributed.heartbeat:kind=delay,after=999999"):
+        export_fleet_distributed(
+            paper_generator, SEPT_2010, SIZE, SEED, str(out),
+            workers=2, lease_blocks=1, start_method="fork",
+        )
+    assert len(inspected) >= 2
+    assert not leaks
+
+
+def _resumed_coordinator_crash_main(out_dir):
+    """Child body: resume a crashed export and SIGKILL after one new lease."""
+    from repro.core.generator import CorrelatedHostGenerator
+    from repro.core.parameters import ModelParameters
+    from repro.faults import arm_process, plan_from_cli_arg
+
+    arm_process(
+        plan_from_cli_arg("distributed.coordinator.checkpoint:kind=sigkill,after=2"),
+        state_dir=out_dir + ".faults",
+    )
+    resume_fleet_distributed(
+        CorrelatedHostGenerator(ModelParameters.paper_reference()),
+        out_dir, workers=2,
+    )
+
+
+@pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="coordinator SIGKILL injection needs the fork start method",
 )
@@ -1182,6 +1237,36 @@ class TestCoordinatorCrashResume:
         shutil.copytree(crashed_template, out)
         return out
 
+    @pytest.fixture(params=["distributed", "block"])
+    def interrupted(self, request, tmp_path, fault_plan, paper_generator):
+        """Two checkpointed lines of either layout's log: ``(layout, dir,
+        log path, resume() -> (result, restored count))``."""
+        if request.param == "distributed":
+            out = request.getfixturevalue("crashed")
+
+            def resume():
+                result = resume_fleet_distributed(
+                    paper_generator, str(out), workers=2
+                )
+                return result, result.resumed_leases
+
+            return request.param, out, out / DISTRIBUTED_LEASE_LOG, resume
+        out = tmp_path / "blocks"
+        with (
+            fault_plan("writer.block.done:kind=raise,after=2"),
+            pytest.raises(RuntimeError),
+        ):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(out),
+                shards=1, checkpoint_every=1, quantiles=True,
+            )
+
+        def resume():
+            result = resume_export(paper_generator, str(out), quantiles=True)
+            return result, result.resumed_blocks
+
+        return request.param, out, out / "checkpoint-0000.jsonl", resume
+
     def _assert_byte_identical(self, out, result, golden):
         golden_dir, golden_result = golden
         assert result.manifest.to_json() == golden_result.manifest.to_json()
@@ -1198,21 +1283,29 @@ class TestCoordinatorCrashResume:
         self._assert_byte_identical(crashed, result, golden)
 
     def test_resume_tolerates_a_torn_final_checkpoint_line(
-        self, crashed, paper_generator, golden
+        self, interrupted, golden
     ):
-        with open(crashed / DISTRIBUTED_LEASE_LOG, "a") as handle:
+        layout, out, log, resume = interrupted
+        with open(log, "a") as handle:
             handle.write('{"kind": "FleetLeaseChec')  # torn mid-write tail
-        result = resume_fleet_distributed(paper_generator, str(crashed), workers=2)
-        assert result.resumed_leases == 2
-        self._assert_byte_identical(crashed, result, golden)
+        result, restored = resume()
+        assert restored == 2
+        if layout == "distributed":
+            self._assert_byte_identical(out, result, golden)
+        else:
+            assert result.manifest.payload_sha256 == golden[1].manifest.payload_sha256
+            assert verify_manifest(str(out / "manifest.json")).ok
+        assert sorted(os.listdir(out)) == sorted(
+            ["manifest.json"] + [s.path for s in result.manifest.segments]
+        )
 
-    def test_corrupt_interior_checkpoint_line_raises(self, crashed, paper_generator):
-        log = crashed / DISTRIBUTED_LEASE_LOG
+    def test_corrupt_interior_checkpoint_line_raises(self, interrupted):
+        _, _, log, resume = interrupted
         lines = log.read_text().splitlines(keepends=True)
         assert len(lines) == 2
         log.write_text('{"broken\n' + lines[1])
         with pytest.raises(StateError, match="not valid JSON"):
-            resume_fleet_distributed(paper_generator, str(crashed), workers=2)
+            resume()
 
     def test_missing_checkpointed_block_regenerates_the_lease(
         self, crashed, paper_generator, golden
@@ -1223,6 +1316,24 @@ class TestCoordinatorCrashResume:
         (crashed / f"block-{first['block_lo']:06d}.csv").unlink()
         result = resume_fleet_distributed(paper_generator, str(crashed), workers=2)
         assert result.resumed_leases == 1  # the gutted lease re-ran
+        self._assert_byte_identical(crashed, result, golden)
+
+    def test_torn_tail_is_trimmed_so_a_second_resume_still_reads_the_log(
+        self, crashed, paper_generator, golden
+    ):
+        """Lines appended after a dropped torn tail must not make it an
+        interior corruption: kill the resumed coordinator too, resume again."""
+        log = crashed / DISTRIBUTED_LEASE_LOG
+        with open(log, "a") as handle:
+            handle.write('{"kind": "FleetLeaseChec')
+        ctx = multiprocessing.get_context("fork")
+        proc = ctx.Process(target=_resumed_coordinator_crash_main, args=(str(crashed),))
+        proc.start()
+        proc.join(180)
+        assert proc.exitcode == -signal.SIGKILL
+        assert len(log.read_bytes().splitlines()) == 3
+        result = resume_fleet_distributed(paper_generator, str(crashed), workers=2)
+        assert result.resumed_leases == 3
         self._assert_byte_identical(crashed, result, golden)
 
     def test_resume_without_a_plan_raises(self, tmp_path, paper_generator):

@@ -43,6 +43,15 @@ def crash_after(blocks: int) -> str:
     return f"writer.block.done:kind=raise,after={blocks}"
 
 
+def _log_lines(path) -> "list[dict]":
+    """The parsed lines of a checkpoint log."""
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _write_log_lines(path, lines) -> None:
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
 def _payload_bytes(out_dir, manifest) -> bytes:
     payload = b""
     for segment in manifest.segments:
@@ -241,10 +250,10 @@ class TestResumeRejections:
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
                 shards=1, checkpoint_every=1,
             )
-        checkpoint_path = tmp_path / "checkpoint-0000.json"
-        checkpoint = json.loads(checkpoint_path.read_text())
-        checkpoint["blocks_done"] = 999
-        checkpoint_path.write_text(json.dumps(checkpoint))
+        # A gap between lines: the first line (block 0) is lost, so the
+        # second no longer continues its shard's chain.
+        log_path = tmp_path / "checkpoint-0000.jsonl"
+        _write_log_lines(log_path, _log_lines(log_path)[1:])
         with pytest.raises(StateError, match="checkpoint"):
             resume_export(paper_generator, str(tmp_path))
 
@@ -302,33 +311,31 @@ class TestResumeRejections:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda checkpoint: checkpoint.pop("reducers"),
-            lambda checkpoint: checkpoint["digests"].__setitem__(0, "zz-not-hex"),
-            lambda checkpoint: checkpoint["segments"][0].pop("sha256"),
-            lambda checkpoint: checkpoint["segments"][0].__setitem__(
-                "path", "../outside.csv"
-            ),
-            # duplicated record: block 0 listed twice (and block 1 dropped)
+            lambda lines: lines[1].pop("reducers"),
+            lambda lines: lines[0]["blocks"][0].__setitem__("digest", "zz-not-hex"),
+            lambda lines: lines[0]["blocks"][0].pop("sha256"),
+            # a block entry naming the wrong block index
+            lambda lines: lines[0]["blocks"][0].__setitem__("index", 7),
+            # duplicated entry: block 0 listed twice (and block 1 dropped)
             # must not splice a wrong-but-verifiable fleet together
-            lambda checkpoint: checkpoint["segments"].__setitem__(
-                1, checkpoint["segments"][0]
-            ),
-            # shuffled records are equally invalid
-            lambda checkpoint: checkpoint["segments"].reverse(),
+            lambda lines: lines[0]["blocks"].__setitem__(1, lines[0]["blocks"][0]),
+            # shuffled entries are equally invalid
+            lambda lines: lines[0]["blocks"].reverse(),
         ],
     )
     def test_corrupt_checkpoint_fields_raise_state_error(
         self, tmp_path, fault_plan, paper_generator, mutate
     ):
-        with fault_plan(crash_after(2)), pytest.raises(RuntimeError):
+        with fault_plan(crash_after(4)), pytest.raises(RuntimeError):
             export_fleet_blocks(
                 paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
-                shards=1, checkpoint_every=1,
+                shards=1, checkpoint_every=2,
             )
-        checkpoint_path = tmp_path / "checkpoint-0000.json"
-        checkpoint = json.loads(checkpoint_path.read_text())
-        mutate(checkpoint)
-        checkpoint_path.write_text(json.dumps(checkpoint))
+        log_path = tmp_path / "checkpoint-0000.jsonl"
+        lines = _log_lines(log_path)
+        assert [len(line["blocks"]) for line in lines] == [2, 2]
+        mutate(lines)
+        _write_log_lines(log_path, lines)
         with pytest.raises(StateError, match="checkpoint"):
             resume_export(paper_generator, str(tmp_path))
 
@@ -358,11 +365,10 @@ class TestResumeRejections:
         # tear block 0 on disk and forge its checkpointed digests so the
         # (correct) regeneration cannot match them
         (tmp_path / "block-000000.csv").write_bytes(b"torn")
-        checkpoint_path = tmp_path / "checkpoint-0000.json"
-        checkpoint = json.loads(checkpoint_path.read_text())
-        checkpoint["digests"][0] = "ab" * 32
-        checkpoint["segments"][0]["sha256"] = "cd" * 32
-        checkpoint_path.write_text(json.dumps(checkpoint))
+        log_path = tmp_path / "checkpoint-0000.jsonl"
+        lines = _log_lines(log_path)
+        lines[0]["blocks"][0].update(digest="ab" * 32, sha256="cd" * 32)
+        _write_log_lines(log_path, lines)
         with pytest.raises(StateError, match="does not reproduce"):
             resume_export(paper_generator, str(tmp_path))
 
@@ -419,6 +425,58 @@ class TestResumeRejections:
         assert (tmp_path / "manifest.json").read_text() == before
 
 
+class TestCheckpointLog:
+    def test_each_line_lists_only_the_blocks_since_the_previous_line(
+        self, tmp_path, fault_plan, paper_generator
+    ):
+        """Appends, not rewrites: checkpoint cost is linear in block count."""
+        with fault_plan(crash_after(5)), pytest.raises(RuntimeError):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
+                shards=1, checkpoint_every=1, quantiles=True,
+            )
+        lines = _log_lines(tmp_path / "checkpoint-0000.jsonl")
+        assert [line["kind"] for line in lines] == ["FleetLeaseCheckpoint"] * 5
+        for index, line in enumerate(lines):
+            assert line["state_lo"] == 0
+            assert (line["block_lo"], line["block_hi"]) == (index, index + 1)
+            assert [entry["index"] for entry in line["blocks"]] == [index]
+
+    @pytest.mark.parametrize("second", ["distributed", "blocks-2-shards"])
+    def test_fresh_export_clears_every_earlier_resume_state(
+        self, second, tmp_path, fault_plan, paper_generator
+    ):
+        """A stale plan or log must not survive a fresh export and later
+        hijack --resume, whatever backend or shard count wrote it."""
+        from repro.engine import export_fleet_distributed
+
+        with fault_plan(crash_after(2)), pytest.raises(RuntimeError):
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, 40_000, SEED, str(tmp_path),
+                shards=4, checkpoint_every=1,
+            )
+        assert (tmp_path / "checkpoint-0003.jsonl").exists()
+        if second == "distributed":
+            export_fleet_distributed(
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path), workers=1
+            )
+        else:
+            export_fleet_blocks(
+                paper_generator, SEPT_2010, SIZE, SEED, str(tmp_path),
+                shards=2, checkpoint_every=1,
+            )
+        leftovers = sorted(
+            name for name in os.listdir(tmp_path)
+            if name.endswith(".jsonl") or "plan" in name or "partial" in name
+        )
+        assert leftovers == []
+        before = (tmp_path / "manifest.json").read_bytes()
+        result = resume_export(paper_generator, str(tmp_path))
+        assert result.statistics is None and result.resumed_blocks == 0
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert verify_manifest(str(tmp_path / "manifest.json")).ok
+
+
 class TestCompaction:
     def test_compacted_layout_matches_direct_shard_export(
         self, tmp_path, paper_generator
@@ -467,16 +525,47 @@ class TestCompaction:
             )
 
 
+def _cli_env() -> dict:
+    src = os.path.join(os.path.dirname(writer.__file__), "..", "..")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    return env
+
+
 class TestSigkillSubprocess:
+    def test_torn_checkpoint_append_keeps_the_earlier_lines(
+        self, tmp_path, paper_generator
+    ):
+        """A torn-write at the 2nd checkpoint tears only that line's tail."""
+        out = tmp_path / "torn"
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "fleet", "export",
+                "--size", str(SIZE), "--seed", str(SEED),
+                "--out-dir", str(out), "--checkpoint-every", "2",
+                "--fault-spec", "writer.checkpoint.write:kind=torn-write,after=2",
+            ],
+            env=_cli_env(), capture_output=True, timeout=300,
+        )
+        assert completed.returncode == -signal.SIGKILL
+        data = (out / "checkpoint-0000.jsonl").read_bytes()
+        first, torn = data.split(b"\n", 1)
+        assert json.loads(first)["block_hi"] == 2
+        assert torn and b"\n" not in torn
+        resumed = resume_export(paper_generator, str(out))
+        assert resumed.resumed_blocks == 2
+        assert verify_manifest(str(out / "manifest.json")).ok
+        assert sorted(os.listdir(out)) == sorted(
+            ["manifest.json"] + [s.path for s in resumed.manifest.segments]
+        )
+
     def test_sigkill_mid_export_then_cli_resume(self, tmp_path, paper_generator):
         """A real SIGKILL: no atexit handlers, no cleanup, torn files allowed."""
         out = tmp_path / "killed"
         size = 163_840  # 40 blocks — enough runway to land the kill mid-run
-        src = os.path.join(os.path.dirname(writer.__file__), "..", "..")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
+        env = _cli_env()
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "fleet", "export",
@@ -487,12 +576,12 @@ class TestSigkillSubprocess:
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        checkpoint = out / "checkpoint-0000.json"
+        log_path = out / "checkpoint-0000.jsonl"
         deadline = time.monotonic() + 120
         while (
             time.monotonic() < deadline
             and process.poll() is None
-            and not checkpoint.exists()
+            and not (log_path.exists() and b"\n" in log_path.read_bytes())
         ):
             time.sleep(0.005)
         if process.poll() is None:
